@@ -14,21 +14,25 @@ import (
 // modes. A pool of Options.Workers goroutines expands a shared FIFO of
 // unexpanded states.
 //
-// Under the fused engine (the default hot path) each worker owns one
-// machine for the whole search and replays frontier states into it with
-// vm.RestoreState; a discovered state costs one compact vm.SavedState
-// (recycled through a pool once expanded) while it sits on the frontier
-// and one visited-set key forever, and the per-transition cost no longer
-// includes allocating and deep-copying a full machine clone. Under the
-// baseline engine the search keeps the original Clone-per-transition
-// expansion — that path is preserved, unmodified, as the differential
-// oracle: both must report identical verdicts and state counts, which the
-// engine-differential tests check.
+// A state is stored once, as its canonical state vector
+// (vm.Machine.EncodeState): the vector is the visited-set key, the
+// exact set keeps it in its byte arenas (shard.go), and a frontier node
+// holds a view of that arena copy. Under the fused engine (the default
+// hot path) each worker owns one machine for the whole search and
+// decodes frontier vectors straight into it with vm.Machine.DecodeState,
+// so a transition costs one decode, the firing, and one encode — no
+// machine clone and no second snapshot format. Under the baseline engine
+// the search keeps the original Clone-per-transition expansion — that
+// path is preserved as the differential oracle: both must report
+// identical verdicts and state counts, which the engine-differential
+// tests check.
 //
 // In both modes counterexamples are kept as compact parent chains (one
 // CommChoice and one pointer per state) and materialized by replaying the
 // choices from the initial machine, so memory is O(frontier + visited
-// keys).
+// vectors). The replay also supplies the reported fault: a decoded
+// machine renumbers heap objects, so a fault raised during the search
+// may name a different objN than the same fault on the replayed path.
 //
 // With Workers: 1 the search is a deterministic breadth-first traversal:
 // states are expanded in FIFO order and successors generated in
@@ -75,12 +79,12 @@ func (p *pathNode) choices() []vm.CommChoice {
 
 // node is one frontier entry: a quiescent state, its enabled
 // communications (computed once, at discovery), the parent chain that
-// reached it, and its depth in transitions from the initial state. The
-// state is held either as a compact snapshot (snap, the fused-engine hot
-// path) or as a full machine clone (m, the baseline-engine oracle path);
-// exactly one of the two is set.
+// reached it, and its depth in transitions from the initial state. vec
+// is the state's vector as the visited set stored it; the
+// baseline-engine oracle path additionally holds a full machine clone
+// (m) and expands from that.
 type node struct {
-	snap  *vm.SavedState
+	vec   []byte
 	m     *vm.Machine
 	comms []vm.CommChoice
 	path  *pathNode
@@ -88,9 +92,6 @@ type node struct {
 	// ample is the length of the ample prefix of comms (== len(comms)
 	// when the state is expanded in full; see por.go).
 	ample int
-	// key is the state's visited-set key, kept only under reduction so
-	// expansion can mark the state closed for the cycle proviso.
-	key string
 }
 
 // frontier is the shared work queue: a FIFO of unexpanded nodes plus an
@@ -185,18 +186,13 @@ type search struct {
 	front   frontier
 
 	// oracle selects the baseline-engine Clone-per-transition expansion
-	// instead of the SavedState hot path.
+	// instead of the state-vector hot path.
 	oracle bool
 
 	// reduce enables the ample-set partial-order reduction; ind is the
 	// static independence table it selects ample sets from.
 	reduce bool
 	ind    *ir.Independence
-
-	// snapPool recycles SavedStates of fully expanded nodes: in steady
-	// state a new frontier entry reuses the arenas of a retired one, so
-	// state discovery stops allocating.
-	snapPool sync.Pool
 
 	states      atomic.Int64
 	transitions atomic.Int64
@@ -220,7 +216,7 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 	if opts.Mode == BitState {
 		visited = newShardedBitSet(opts.BitstateBits)
 	} else {
-		visited = newShardedMapSet()
+		visited = new(arenaSet)
 	}
 
 	m0 := newMachine(prog, opts)
@@ -228,12 +224,11 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 	if f := m0.Fault(); f != nil {
 		// Faults before any communication: replay with no choices to get
 		// the postmortem of the initial settle.
-		_, pm := replayTrace(prog, opts, nil)
+		_, _, pm := replayTrace(prog, opts, nil)
 		res.Violation = &Violation{Fault: f, Postmortem: pm}
 		return
 	}
-	key0 := m0.EncodeState()
-	visited.TryAdd(key0)
+	vec0, _, _ := visited.TryAdd(m0.EncodeState())
 	res.States = 1
 	res.MemBytes = visited.MemBytes()
 
@@ -253,15 +248,11 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 		s.reduce = true
 		s.ind = independence(prog)
 	}
-	ample0 := s.ampleOrder(m0, comms0)
-	if !s.reduce {
-		key0 = "" // only the proviso reads node keys; don't retain them
-	}
+	n0 := &node{vec: vec0, comms: comms0, ample: s.ampleOrder(m0, comms0, new(porScratch))}
 	if s.oracle {
-		s.front.push(&node{m: m0, comms: comms0, ample: ample0, key: key0})
-	} else {
-		s.front.push(&node{snap: m0.Save(nil), comms: comms0, ample: ample0, key: key0})
+		n0.m = m0
 	}
+	s.front.push(n0)
 
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Workers; i++ {
@@ -301,9 +292,12 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 	}
 	if s.vio != nil {
 		choices := append(s.vio.parent.choices(), s.vio.last)
-		trace, pm := replayTrace(prog, opts, choices)
+		trace, f, pm := replayTrace(prog, opts, choices)
+		if f == nil {
+			f = s.vio.fault
+		}
 		res.Violation = &Violation{
-			Fault:      s.vio.fault,
+			Fault:      f,
 			Deadlock:   s.vio.deadlock,
 			Trace:      trace,
 			Postmortem: pm,
@@ -393,22 +387,23 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 
 func (s *search) worker() {
 	// On the hot path each worker owns one machine for the whole search
-	// and replays frontier snapshots into it — no per-transition machine
+	// and decodes frontier vectors into it — no per-transition machine
 	// allocation. The oracle path clones instead and needs no worker
-	// machine.
+	// machine. The reduction's scratch space is worker-local too.
 	var m *vm.Machine
 	if !s.oracle {
 		m = newMachine(s.prog, s.opts)
 	}
+	sc := new(porScratch)
 	for {
 		n := s.front.pop()
 		if n == nil {
 			return
 		}
 		if s.oracle {
-			s.expandClone(n)
+			s.expandClone(n, sc)
 		} else {
-			s.expand(m, n)
+			s.expand(m, n, sc)
 		}
 		s.front.done()
 	}
@@ -416,9 +411,9 @@ func (s *search) worker() {
 
 // expandClone is the baseline-engine oracle expansion: one full machine
 // clone per transition, exactly as the search worked before the
-// SavedState hot path existed. It must stay behaviorally identical to
+// state-vector hot path existed. It must stay behaviorally identical to
 // expand — the differential tests compare the two.
-func (s *search) expandClone(n *node) {
+func (s *search) expandClone(n *node, sc *porScratch) {
 	limit, witness := s.noteAmple(n)
 	for i, c := range n.comms {
 		if i == limit {
@@ -443,9 +438,9 @@ func (s *search) expandClone(n *node) {
 			s.violate(n.path, c, f, false)
 			return
 		}
-		key := m2.EncodeState()
-		if !s.visited.TryAdd(key) {
-			if s.reduce && i < limit && !s.visited.Closed(key) {
+		vec, added, closed := s.visited.TryAdd(m2.EncodeState())
+		if !added {
+			if i < limit && !closed {
 				witness++
 			}
 			continue
@@ -472,17 +467,14 @@ func (s *search) expandClone(n *node) {
 			s.truncated.Store(true)
 			continue
 		}
-		n2 := &node{
+		s.front.push(&node{
+			vec:   vec,
 			m:     m2,
 			comms: comms,
 			path:  &pathNode{choice: c, parent: n.path},
 			depth: d,
-			ample: s.ampleOrder(m2, comms),
-		}
-		if s.reduce {
-			n2.key = key
-		}
-		s.front.push(n2)
+			ample: s.ampleOrder(m2, comms, sc),
+		})
 	}
 	n.m = nil // the expanded machine is no longer needed
 }
@@ -499,7 +491,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 		limit = len(n.comms)
 	}
 	if s.reduce {
-		s.visited.MarkClosed(n.key)
+		s.visited.MarkClosed(n.vec)
 		if limit < len(n.comms) {
 			s.porAmple.Add(1)
 		} else {
@@ -511,7 +503,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 
 // expand fires every enabled communication of n on the worker's machine,
 // recording newly discovered states and enqueueing them for expansion.
-func (s *search) expand(m *vm.Machine, n *node) {
+func (s *search) expand(m *vm.Machine, n *node, sc *porScratch) {
 	limit, witness := s.noteAmple(n)
 	for i, c := range n.comms {
 		if i == limit {
@@ -527,7 +519,7 @@ func (s *search) expand(m *vm.Machine, n *node) {
 		if s.stop.Load() {
 			return
 		}
-		m.RestoreState(n.snap)
+		m.DecodeState(n.vec)
 		m.FireComm(c)
 		s.transitions.Add(1)
 
@@ -539,9 +531,9 @@ func (s *search) expand(m *vm.Machine, n *node) {
 			s.violate(n.path, c, f, false)
 			return
 		}
-		key := m.EncodeState()
-		if !s.visited.TryAdd(key) {
-			if s.reduce && i < limit && !s.visited.Closed(key) {
+		vec, added, closed := s.visited.TryAdd(m.EncodeState())
+		if !added {
+			if i < limit && !closed {
 				witness++
 			}
 			continue
@@ -572,25 +564,14 @@ func (s *search) expand(m *vm.Machine, n *node) {
 			s.truncated.Store(true)
 			continue
 		}
-		// Only admitted states pay for a snapshot (TryAdd ran first).
-		snap, _ := s.snapPool.Get().(*vm.SavedState)
-		n2 := &node{
-			snap:  m.Save(snap),
+		s.front.push(&node{
+			vec:   vec,
 			comms: comms,
 			path:  &pathNode{choice: c, parent: n.path},
 			depth: d,
-			ample: s.ampleOrder(m, comms),
-		}
-		if s.reduce {
-			n2.key = key
-		}
-		s.front.push(n2)
+			ample: s.ampleOrder(m, comms, sc),
+		})
 	}
-	// Every communication was fired from n.snap; recycle its arenas. (The
-	// early returns above skip this — a shutting-down search doesn't need
-	// the pool, and the GC reclaims those snapshots.)
-	s.snapPool.Put(n.snap)
-	n.snap = nil
 }
 
 // violate records the violation (first writer wins) and shuts the search
@@ -625,8 +606,11 @@ func (s *search) observeDepth(d int) {
 // the per-step bookkeeping).
 // A flight recorder rides along on the replay machine, so every
 // counterexample comes with a postmortem of the events leading into the
-// violation — the search itself stays recorder-free.
-func replayTrace(prog *ir.Program, opts Options, choices []vm.CommChoice) ([]TraceStep, string) {
+// violation — the search itself stays recorder-free. The replay's fault,
+// if any, is the one to report: the replay machine numbers heap objects
+// exactly as a run from the initial state does, which a machine that
+// decoded state vectors does not.
+func replayTrace(prog *ir.Program, opts Options, choices []vm.CommChoice) ([]TraceStep, *vm.Fault, string) {
 	m := newMachine(prog, opts)
 	m.SetRecorder(obs.NewFlightRecorder(0))
 	m.Settle()
@@ -635,5 +619,5 @@ func replayTrace(prog *ir.Program, opts Options, choices []vm.CommChoice) ([]Tra
 		steps = append(steps, newStep(m, prog, c))
 		m.FireComm(c)
 	}
-	return steps, m.Postmortem(obs.PostmortemEvents)
+	return steps, m.Fault(), m.Postmortem(obs.PostmortemEvents)
 }

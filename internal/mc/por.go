@@ -61,11 +61,19 @@ func independence(prog *ir.Program) *ir.Independence {
 	return analysis.ComputeIndependence(prog)
 }
 
+// porScratch is one worker's reusable space for ampleOrder, so choosing
+// an ample set allocates nothing once the buffers have grown.
+type porScratch struct {
+	chans []int           // channels one process offers
+	work  []int           // closure worklist
+	tmp   []vm.CommChoice // partition buffer
+}
+
 // ampleOrder partitions comms in place so that a valid ample set forms a
 // prefix, and returns the prefix length — len(comms) when no proper
 // ample set exists (full expansion). The relative order within both
 // partitions is preserved, so the sequential search stays deterministic.
-func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
+func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice, sc *porScratch) int {
 	full := len(comms)
 	if !s.reduce || full < 2 || len(s.prog.Procs) > porProcLimit {
 		return full
@@ -79,14 +87,11 @@ func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
 	}
 
 	bestCount, bestSet := full, uint64(0)
-	var buf []int // reused channel scratch across candidates (worker-local)
 	for base := 0; base < len(s.prog.Procs); base++ {
 		if partic&(1<<uint(base)) == 0 {
 			continue
 		}
-		var set uint64
-		var ok bool
-		set, ok, buf = s.ampleClosure(m, base, buf)
+		set, ok := s.ampleClosure(m, base, sc)
 		if !ok || set == bestSet {
 			continue
 		}
@@ -105,7 +110,7 @@ func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
 	}
 
 	// Stable partition: ample communications first.
-	tmp := make([]vm.CommChoice, 0, full)
+	tmp := sc.tmp[:0]
 	for _, c := range comms {
 		if bestSet&(1<<uint(c.Sender)) != 0 {
 			tmp = append(tmp, c)
@@ -117,46 +122,50 @@ func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
 		}
 	}
 	copy(comms, tmp)
+	sc.tmp = tmp
 	return bestCount
 }
 
 // ampleClosure grows the closed process set from base on the current
 // quiescent state. It reports false when the closure crosses an
-// externally bound channel. buf is scratch space, returned for reuse.
-func (s *search) ampleClosure(m *vm.Machine, base int, buf []int) (uint64, bool, []int) {
+// externally bound channel.
+func (s *search) ampleClosure(m *vm.Machine, base int, sc *porScratch) (uint64, bool) {
 	ind := s.ind
-	var set uint64
-	var work []int
-	add := func(p int) {
-		if set&(1<<uint(p)) != 0 {
-			return
-		}
-		set |= 1 << uint(p)
-		work = append(work, p)
-		// A dirty ref-flow region may share heap objects among its
-		// members: keep it whole on one side of the split.
-		if r := ind.Region[p]; r >= 0 && ind.DirtyRegion[r] {
-			for q := range ind.Region {
-				if ind.Region[q] == r && set&(1<<uint(q)) == 0 {
-					set |= 1 << uint(q)
-					work = append(work, q)
-				}
-			}
-		}
-	}
-	add(base)
+	set, work := ampleAdd(ind, 0, sc.work[:0], base)
 	for len(work) > 0 {
 		p := work[len(work)-1]
 		work = work[:len(work)-1]
-		buf = m.OfferedChannels(p, buf[:0])
-		for _, ch := range buf {
+		sc.chans = m.OfferedChannels(p, sc.chans[:0])
+		for _, ch := range sc.chans {
 			if ind.ChanExt[ch] {
-				return 0, false, buf
+				sc.work = work
+				return 0, false
 			}
 			for _, q := range ind.Touch[ch] {
-				add(q)
+				set, work = ampleAdd(ind, set, work, q)
 			}
 		}
 	}
-	return set, true, buf
+	sc.work = work
+	return set, true
+}
+
+// ampleAdd adds process p to the closure set and its worklist. A dirty
+// ref-flow region may share heap objects among its members: keep it
+// whole on one side of the split.
+func ampleAdd(ind *ir.Independence, set uint64, work []int, p int) (uint64, []int) {
+	if set&(1<<uint(p)) != 0 {
+		return set, work
+	}
+	set |= 1 << uint(p)
+	work = append(work, p)
+	if r := ind.Region[p]; r >= 0 && ind.DirtyRegion[r] {
+		for q := range ind.Region {
+			if ind.Region[q] == r && set&(1<<uint(q)) == 0 {
+				set |= 1 << uint(q)
+				work = append(work, q)
+			}
+		}
+	}
+	return set, work
 }

@@ -45,11 +45,11 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		progress bool
 		desc     string
 	}
-	// States are kept as compact snapshots and replayed into one scratch
-	// machine, so graph construction doesn't retain a full machine clone
-	// per state.
+	// States are kept only as their state vectors (the map key doubles as
+	// the stored state) and decoded into one scratch machine, so graph
+	// construction doesn't retain a full machine clone per state.
 	var (
-		snaps []*vm.SavedState
+		vecs  []string
 		idOf  = map[string]int{}
 		edges [][]edge
 	)
@@ -60,43 +60,44 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		res.Violation = &Violation{Fault: f}
 		return res
 	}
-	idOf[m.EncodeState()] = 0
-	snaps = append(snaps, m.Save(nil))
+	vecs = append(vecs, string(m.EncodeState()))
+	idOf[vecs[0]] = 0
 	edges = append(edges, nil)
 
-	for i := 0; i < len(snaps) && len(snaps) < opts.MaxStates; i++ {
-		m.RestoreState(snaps[i])
+	for i := 0; i < len(vecs) && len(vecs) < opts.MaxStates; i++ {
+		vec := []byte(vecs[i])
+		m.DecodeState(vec)
 		for _, c := range m.EnabledComms() {
-			m.RestoreState(snaps[i]) // each firing starts from state i
+			m.DecodeState(vec) // each firing starts from state i
 			desc := newStep(m, prog, c).Desc
 			m.FireComm(c)
 			res.Transitions++
 			if f := m.Fault(); f != nil {
 				res.Violation = &Violation{Fault: f}
-				res.States = len(snaps)
+				res.States = len(vecs)
 				return res
 			}
 			key := m.EncodeState()
-			j, ok := idOf[key]
+			j, ok := idOf[string(key)]
 			if !ok {
-				j = len(snaps)
-				idOf[key] = j
-				snaps = append(snaps, m.Save(nil))
+				j = len(vecs)
+				vecs = append(vecs, string(key))
+				idOf[vecs[j]] = j
 				edges = append(edges, nil)
 			}
 			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], desc: desc})
 		}
 	}
-	res.States = len(snaps)
-	if len(snaps) >= opts.MaxStates {
+	res.States = len(vecs)
+	if len(vecs) >= opts.MaxStates {
 		res.Truncated = true
 	}
 
 	// Phase 2: a cycle using only non-progress edges. Iterative DFS with
 	// colors: 0 unvisited, 1 on stack, 2 done.
-	color := make([]uint8, len(snaps))
-	parent := make([]int, len(snaps))
-	parentEdge := make([]string, len(snaps))
+	color := make([]uint8, len(vecs))
+	parent := make([]int, len(vecs))
+	parentEdge := make([]string, len(vecs))
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -106,7 +107,7 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 
 	var stack []int
 	push := func(s int) { color[s] = 1; stack = append(stack, s) }
-	for root := 0; root < len(snaps) && cycleAt < 0; root++ {
+	for root := 0; root < len(vecs) && cycleAt < 0; root++ {
 		if color[root] != 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -41,7 +42,7 @@ func hashCorpus() []string {
 // failed this on every all-zero key.
 func TestBitPositionHashesIndependentlySeeded(t *testing.T) {
 	for _, k := range hashCorpus() {
-		if hashKey(hashSeedA, k) == hashKey(hashSeedB, k) {
+		if hashKey(hashSeedA, []byte(k)) == hashKey(hashSeedB, []byte(k)) {
 			t.Fatalf("seeded hashes coincide on %q (len %d)", k, len(k))
 		}
 	}
@@ -60,7 +61,7 @@ func TestBitPositionsStatisticallyIndependent(t *testing.T) {
 	same := 0
 	byA := make(map[uint64][]uint64)
 	for _, k := range keys {
-		a, b := bitPositions(k, mask)
+		a, b := bitPositions([]byte(k), mask)
 		if a == b {
 			same++
 		}
@@ -99,28 +100,37 @@ func TestBitPositionsStatisticallyIndependent(t *testing.T) {
 
 func TestHashKeyDeterministic(t *testing.T) {
 	for _, k := range []string{"", "a", "\x00\x00", "state"} {
-		if hashKey(hashSeedA, k) != hashKey(hashSeedA, k) {
+		if hashKey(hashSeedA, []byte(k)) != hashKey(hashSeedA, []byte(k)) {
 			t.Fatalf("hashKey not deterministic on %q", k)
 		}
 	}
 }
 
-// TestShardedMapSetTryAddOnce: hammered from many goroutines, every key
-// is admitted exactly once — the property the parallel search's state
-// count rests on.
+// TestShardedMapSetTryAddOnce: hammered from many goroutines, the exact
+// (arena) set admits every key exactly once — the property the parallel
+// search's state count rests on — and every caller gets back the one
+// stored copy of the key.
 func TestShardedMapSetTryAddOnce(t *testing.T) {
 	const keys, goroutines = 2000, 8
-	s := newShardedMapSet()
+	s := new(arenaSet)
 	var wg sync.WaitGroup
 	wins := make([]int64, goroutines)
+	stored := make([][][]byte, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			stored[g] = make([][]byte, keys)
 			for i := 0; i < keys; i++ {
-				if s.TryAdd(fmt.Sprintf("key-%d", i)) {
+				key := []byte(fmt.Sprintf("key-%d", i))
+				vec, added, _ := s.TryAdd(key)
+				if added {
 					wins[g]++
 				}
+				if !bytes.Equal(vec, key) {
+					t.Errorf("TryAdd(%q) returned %q", key, vec)
+				}
+				stored[g][i] = vec
 			}
 		}(g)
 	}
@@ -132,8 +142,86 @@ func TestShardedMapSetTryAddOnce(t *testing.T) {
 	if total != keys {
 		t.Errorf("%d TryAdd wins for %d distinct keys", total, keys)
 	}
+	for i := 0; i < keys; i++ {
+		for g := 1; g < goroutines; g++ {
+			if &stored[g][i][0] != &stored[0][i][0] {
+				t.Fatalf("key %d: callers got different copies", i)
+			}
+		}
+	}
 	if s.MemBytes() == 0 {
 		t.Error("MemBytes = 0 after inserts")
+	}
+}
+
+// TestArenaSetClosedFlag: a key's closed flag starts clear, is reported
+// by later TryAdds once MarkClosed ran, and belongs to that key alone.
+func TestArenaSetClosedFlag(t *testing.T) {
+	s := new(arenaSet)
+	a, _, _ := s.TryAdd([]byte("state-a"))
+	s.TryAdd([]byte("state-b"))
+	if _, added, closed := s.TryAdd([]byte("state-a")); added || closed {
+		t.Fatalf("re-add before MarkClosed: added=%v closed=%v, want false false", added, closed)
+	}
+	s.MarkClosed(a)
+	if _, added, closed := s.TryAdd([]byte("state-a")); added || !closed {
+		t.Fatalf("re-add after MarkClosed: added=%v closed=%v, want false true", added, closed)
+	}
+	if _, _, closed := s.TryAdd([]byte("state-b")); closed {
+		t.Fatal("MarkClosed of one key closed another")
+	}
+	// Closing must survive the slot table's growth.
+	for i := 0; i < 5000; i++ {
+		s.TryAdd([]byte(fmt.Sprintf("filler-%d", i)))
+	}
+	if _, _, closed := s.TryAdd([]byte("state-a")); !closed {
+		t.Fatal("closed flag lost when the slot table grew")
+	}
+}
+
+// TestArenaSetGrowth: keys spill across many chunks, one key is larger
+// than the largest chunk, and every stored vector handed out earlier
+// still reads back intact afterwards.
+func TestArenaSetGrowth(t *testing.T) {
+	s := new(arenaSet)
+	rng := rand.New(rand.NewSource(3))
+	var keys, vecs [][]byte
+	add := func(key []byte) {
+		vec, added, _ := s.TryAdd(key)
+		if !added {
+			t.Fatalf("fresh key of length %d not added", len(key))
+		}
+		keys, vecs = append(keys, key), append(vecs, vec)
+	}
+	for i := 0; i < 20000; i++ {
+		key := make([]byte, 1+rng.Intn(300))
+		rng.Read(key)
+		key = binary.AppendUvarint(key, uint64(i)) // distinct
+		add(key)
+		if i == 10000 {
+			huge := bytes.Repeat([]byte{0xF3}, 2*maxChunk+5)
+			add(huge)
+		}
+	}
+	var chunks int
+	for i := range s.shards {
+		chunks += len(s.shards[i].chunks)
+	}
+	if chunks <= numShards {
+		t.Errorf("%d chunks for %d shards: arenas never grew past their first chunk", chunks, numShards)
+	}
+	for i, key := range keys {
+		if !bytes.Equal(vecs[i], key) {
+			t.Fatalf("stored vector %d (length %d) changed after later inserts", i, len(key))
+		}
+		if vec, added, _ := s.TryAdd(key); added || !bytes.Equal(vec, key) {
+			t.Fatalf("key %d (length %d): re-add added=%v, vector intact=%v", i, len(key), added, bytes.Equal(vec, key))
+		}
+	}
+	// A stored vector is capped: appending to it must not overwrite its
+	// neighbor in the arena.
+	if v := vecs[0]; cap(v) != len(v) {
+		t.Errorf("stored vector has spare capacity %d", cap(v)-len(v))
 	}
 }
 
@@ -150,7 +238,7 @@ func TestShardedBitSetTryAddOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				if s.TryAdd(fmt.Sprintf("key-%d", i)) {
+				if _, added, _ := s.TryAdd([]byte(fmt.Sprintf("key-%d", i))); added {
 					wins[g]++
 				}
 			}

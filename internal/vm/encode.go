@@ -4,20 +4,48 @@ import (
 	"encoding/binary"
 )
 
-// EncodeState serializes the machine's semantic state into a canonical
-// byte string: two states encode equally iff they are behaviorally
+// The state vector: the one serialized form of a machine's semantic
+// state. EncodeState writes it and DecodeState (savedstate.go) restores
+// a machine from it, so the model checker stores each state once — as
+// its visited-set key — and expands it straight from that key, SPIN's
+// single state vector.
+//
+// Layout: the live-object count, then per process its status, pc,
+// blocking descriptor (wait channel, port, alt index and resume pc, each
+// +1 so -1 fits a uvarint), locals and operand stack (each a count
+// followed by values), and for a blocked sender the pending value and
+// its flags. Counts and descriptors are uvarints. A value is one tag
+// byte, possibly followed by more:
+//
+//	< tagBig  a scalar whose zigzag form is the byte itself
+//	tagBig    any other scalar: zigzag uvarint
+//	tagNil    the nil reference
+//	tagBack   an object already in the vector: uvarint first-visit index
+//	tagObj    an object's first visit: uvarint type id, freed flag byte,
+//	          zigzag reference count, uvarint union tag, uvarint element
+//	          count, then the elements as values
+const (
+	tagBig  = 0xF0
+	tagNil  = 0xF1
+	tagBack = 0xF2
+	tagObj  = 0xF3
+)
+
+// EncodeState serializes the machine's semantic state into its canonical
+// state vector: two states encode equally iff they are behaviorally
 // identical. Heap objects are renumbered in first-visit order during a
 // deterministic traversal from the process roots, so object identities
 // assigned at different allocation times do not distinguish states —
 // the objectId canonicalization of §5.2.
 //
 // The traversal marks objects with the machine's generation counter
-// (instead of building a map per call) and reuses the machine's encode
-// buffer, so a call allocates only the returned string. As a consequence
-// EncodeState is not safe for concurrent use on one machine — which was
-// already true of every execution entry point; the model checker's
-// workers each own their machine.
-func (m *Machine) EncodeState() string {
+// (instead of building a map per call) and writes into the machine's
+// reused encode buffer. The result is a view of that buffer, valid until
+// the next EncodeState on this machine: callers that keep it copy it.
+// EncodeState is therefore not safe for concurrent use on one machine —
+// which was already true of every execution entry point; the model
+// checker's workers each own their machine.
+func (m *Machine) EncodeState() []byte {
 	m.markGen++
 	e := stateEncoder{buf: m.encBuf[:0], gen: m.markGen}
 	// The live-object count is part of the state: leaked objects are
@@ -26,31 +54,21 @@ func (m *Machine) EncodeState() string {
 	// catches (§5.2).
 	e.uv(uint64(m.heap.live))
 	for _, p := range m.Procs {
-		e.u8(uint8(p.Status))
+		e.buf = append(e.buf, uint8(p.Status))
 		e.uv(uint64(p.PC))
 		e.uv(uint64(p.WaitChan + 1))
 		e.uv(uint64(p.WaitPort + 1))
 		e.uv(uint64(p.AltIdx + 1))
 		e.uv(uint64(p.ResumePC + 1))
-		e.uv(uint64(len(p.Locals)))
-		for _, v := range p.Locals {
-			e.value(v)
-		}
-		e.uv(uint64(len(p.Stack)))
-		for _, v := range p.Stack {
-			e.value(v)
-		}
+		e.values(p.Locals)
+		e.values(p.Stack)
 		if p.Status == PBlockedSend {
 			e.value(p.Pending)
 			e.uv(uint64(p.PendingFlags))
 		}
 	}
-	// Emit visited objects' contents after the roots (ids are stable by
-	// first-visit order, so a second pass is unnecessary: contents were
-	// emitted inline at first visit).
-	s := string(e.buf) // copies, so the buffer is free to reuse
 	m.encBuf = e.buf
-	return s
+	return e.buf
 }
 
 type stateEncoder struct {
@@ -59,46 +77,61 @@ type stateEncoder struct {
 	n   int32 // next first-visit object index
 }
 
-func (e *stateEncoder) u8(v uint8) { e.buf = append(e.buf, v) }
-
 func (e *stateEncoder) uv(v uint64) {
+	if v < 0x80 {
+		e.buf = append(e.buf, byte(v))
+		return
+	}
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
-func (e *stateEncoder) iv(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
+// zigzag maps signed to unsigned so small magnitudes of either sign stay
+// small: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func (e *stateEncoder) value(v Value) {
 	if !v.IsRef {
-		e.u8(0)
-		e.iv(v.Int)
-		return
-	}
-	if v.Ref == nil {
-		e.u8(1)
+		if z := zigzag(v.Int); z < tagBig {
+			e.buf = append(e.buf, byte(z))
+		} else {
+			e.buf = binary.AppendUvarint(append(e.buf, tagBig), z)
+		}
 		return
 	}
 	o := v.Ref
+	if o == nil {
+		e.buf = append(e.buf, tagNil)
+		return
+	}
 	if o.mark == e.gen {
-		e.u8(2)
+		e.buf = append(e.buf, tagBack)
 		e.uv(uint64(o.markIdx))
 		return
 	}
 	o.mark = e.gen
 	o.markIdx = e.n
 	e.n++
-	e.u8(3)
+	e.buf = append(e.buf, tagObj)
 	e.uv(uint64(o.Type.ID()))
-	flags := uint8(0)
+	freed := byte(0)
 	if o.Freed {
-		flags = 1
+		freed = 1
 	}
-	e.u8(flags)
-	e.iv(int64(o.RC))
+	e.buf = append(e.buf, freed)
+	e.uv(zigzag(int64(o.RC)))
 	e.uv(uint64(o.Tag))
-	e.uv(uint64(len(o.Elems)))
-	for _, el := range o.Elems {
-		e.value(el)
+	e.values(o.Elems)
+}
+
+// values writes a count, then the values. Small scalars — most of a
+// state — take the one-byte path without leaving the loop.
+func (e *stateEncoder) values(vs []Value) {
+	e.uv(uint64(len(vs)))
+	for _, v := range vs {
+		if z := zigzag(v.Int); !v.IsRef && z < tagBig {
+			e.buf = append(e.buf, byte(z))
+		} else {
+			e.value(v)
+		}
 	}
 }

@@ -125,9 +125,9 @@ type Machine struct {
 	sched      *schedRT
 	schedStore schedRT
 
-	// State-snapshot scratch (see savedstate.go and encode.go): a
+	// State-vector scratch (see encode.go and savedstate.go): a
 	// per-machine generation counter for object-graph marking, the
-	// encoder's reusable buffer, and the pool of objects RestoreState
+	// encoder's reusable buffer, and the pool of objects DecodeState
 	// rebuilds the heap into. None of this is shared between machines.
 	markGen int64
 	encBuf  []byte
@@ -234,8 +234,8 @@ func New(prog *ir.Program, cfg Config) *Machine {
 			m.sched = &m.schedStore
 		}
 		if !cfg.Manual {
-			// Recycle the element storage of freed objects: the snapshot
-			// machinery of Manual machines owns object lifetimes,
+			// Recycle the element storage of freed objects: the state
+			// decoder of Manual machines owns object lifetimes,
 			// everything else is free to reuse the backing arrays. Object
 			// shells are never reused (they tombstone dangling
 			// references), so this is observable on no program — buggy or

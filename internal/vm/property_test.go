@@ -153,7 +153,7 @@ process clientB {
 		a.Settle()
 		b.Settle()
 		for step := 0; step < 20; step++ {
-			if a.EncodeState() != b.EncodeState() {
+			if string(a.EncodeState()) != string(b.EncodeState()) {
 				return false
 			}
 			comms := a.EnabledComms()
@@ -170,7 +170,7 @@ process clientB {
 				break
 			}
 		}
-		return a.EncodeState() == b.EncodeState()
+		return string(a.EncodeState()) == string(b.EncodeState())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -200,7 +200,7 @@ process p2 { while (true) { in( c, $v); out( d, v * 2); } }
 			c := comms[rng.Intn(len(comms))]
 			m.FireComm(c)
 			cl.FireComm(c)
-			if m.EncodeState() != cl.EncodeState() {
+			if string(m.EncodeState()) != string(cl.EncodeState()) {
 				return false
 			}
 			m = cl // continue on the clone: must behave identically

@@ -43,7 +43,7 @@ func TestReplayCommsReproducesStates(t *testing.T) {
 			t.Fatalf("unexpected fault: %v", m.Fault())
 		}
 		choices = append(choices, c)
-		keys = append(keys, m.EncodeState())
+		keys = append(keys, string(m.EncodeState()))
 	}
 	if len(choices) < 4 {
 		t.Fatalf("path too short: %d transitions", len(choices))
@@ -54,7 +54,7 @@ func TestReplayCommsReproducesStates(t *testing.T) {
 		if f := r.ReplayComms([]vm.CommChoice{c}); f != nil {
 			t.Fatalf("replay step %d faulted: %v", i, f)
 		}
-		if got := r.EncodeState(); got != keys[i] {
+		if got := string(r.EncodeState()); got != keys[i] {
 			t.Fatalf("replay diverged at step %d", i)
 		}
 	}

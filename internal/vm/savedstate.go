@@ -1,230 +1,133 @@
 package vm
 
-import "esplang/internal/types"
+import (
+	"encoding/binary"
 
-// SavedState is a compact, self-contained snapshot of a machine's
-// semantic state: process scheduling descriptors, locals, stacks, the
-// reachable heap graph (flattened into index-linked arenas), and the heap
-// counters. Unlike Clone it shares nothing with the machine that produced
-// it, so restoring it into any machine of the same program is safe, and
-// a SavedState can be reused (Save overwrites in place) so the model
-// checker's state expansion allocates only while a snapshot's arenas are
-// still growing toward the program's steady-state size.
+	"esplang/internal/types"
+)
+
+// DecodeState overwrites the machine's semantic state with vec, a state
+// vector written by EncodeState on a machine of the same program (see
+// encode.go for the layout). The vector describes a quiescent, fault-free
+// state, so the ready queue, the pending alt commitment and the fault are
+// cleared. Statistics, the cycle meter and the heap's allocation counters
+// are not part of the state and are left as they are.
 //
-// Save requires the bit-mask blocking mode (Config.UseWaitQueues off):
-// wait queues are derivable state the snapshot does not carry.
-type SavedState struct {
-	procs   []procSnap
-	vals    []Value // per process: locals, then stack, concatenated
-	objs    []objSnap
-	objVals []Value // object elements, blocked per object
-	ready   []int
-
-	live         int
-	nextID       int
-	allocs       int64
-	frees        int64
-	commitTarget int
-	commitArm    int
-	flt          *Fault
-}
-
-type procSnap struct {
-	status       ProcStatus
-	pc           int32
-	waitChan     int32
-	waitPort     int32
-	altIdx       int32
-	resumePC     int32
-	pendingFlags int32
-	nStack       int32
-	pending      Value
-}
-
-type objSnap struct {
-	typ   *types.Type
-	id    int32
-	rc    int32
-	tag   int32
-	off   int32 // first element in objVals
-	n     int32 // element count
-	freed bool
-}
-
-// Ref encoding inside snapshot arenas: a reference value stores the
-// owning object's snapshot index in Int ({IsRef: true, Int: idx}); a
-// genuine nil reference stores -1.
-
-// encObj records o (and, recursively, everything it references) into the
-// snapshot, returning o's snapshot index. gen is the marking generation
-// of this Save traversal.
-func (s *SavedState) encObj(o *Object, gen int64) int32 {
-	if o.mark == gen {
-		return o.markIdx
-	}
-	o.mark = gen
-	idx := int32(len(s.objs))
-	o.markIdx = idx
-	off := len(s.objVals)
-	s.objVals = append(s.objVals, o.Elems...)
-	s.objs = append(s.objs, objSnap{
-		typ: o.Type, id: int32(o.ID), rc: int32(o.RC), tag: int32(o.Tag),
-		off: int32(off), n: int32(len(o.Elems)), freed: o.Freed,
-	})
-	// Rewrite reference elements to index encoding. Indexing through off
-	// (not a saved sub-slice) keeps this correct across arena reallocation
-	// by the recursive calls.
-	for i, e := range o.Elems {
-		if e.IsRef {
-			s.objVals[off+i] = s.encVal(e, gen)
-		}
-	}
-	return idx
-}
-
-func (s *SavedState) encVal(v Value, gen int64) Value {
-	if !v.IsRef {
-		return v
-	}
-	if v.Ref == nil {
-		return Value{IsRef: true, Int: -1}
-	}
-	return Value{IsRef: true, Int: int64(s.encObj(v.Ref, gen))}
-}
-
-// Save captures the machine's semantic state into dst, reusing its
-// buffers; a nil dst allocates a fresh SavedState. Statistics and the
-// cycle meter are not captured (matching Clone, which resets them).
-func (m *Machine) Save(dst *SavedState) *SavedState {
+// Heap objects are rebuilt into a pool private to this machine, reused
+// across decodes, so a decode in steady state performs no allocation.
+// (The pool is deliberately NOT the execution heap's free list —
+// Heap.Alloc never reuses objects, the §5.2 use-after-free property; only
+// whole-state replacement may recycle them, because it retires every
+// reference to the previous state at once.) The vector renumbers objects
+// in first-visit order, and decoded objects take those numbers as IDs: a
+// fault raised after a decode names objects differently from one raised
+// on the machine that encoded the state.
+//
+// DecodeState requires the bit-mask blocking mode (Config.UseWaitQueues
+// off): wait queues are derivable state the vector does not carry.
+func (m *Machine) DecodeState(vec []byte) {
 	if m.Config.UseWaitQueues {
-		panic("vm: Save does not support wait-queue mode")
+		panic("vm: DecodeState does not support wait-queue mode")
 	}
-	s := dst
-	if s == nil {
-		s = &SavedState{}
-	}
-	s.procs = s.procs[:0]
-	s.vals = s.vals[:0]
-	s.objs = s.objs[:0]
-	s.objVals = s.objVals[:0]
-	s.ready = append(s.ready[:0], m.ready...)
-	s.live = m.heap.live
-	s.nextID = m.heap.nextID
-	s.allocs = m.heap.allocs
-	s.frees = m.heap.frees
-	s.commitTarget = m.commitTarget
-	s.commitArm = m.commitArm
-	s.flt = m.flt
-
-	m.markGen++
-	gen := m.markGen
+	d := stateDecoder{m: m, buf: vec, types: m.Prog.Universe.All()}
+	m.heap.live = int(d.uv())
 	for _, p := range m.Procs {
-		s.procs = append(s.procs, procSnap{
-			status:       p.Status,
-			pc:           int32(p.PC),
-			waitChan:     int32(p.WaitChan),
-			waitPort:     int32(p.WaitPort),
-			altIdx:       int32(p.AltIdx),
-			resumePC:     int32(p.ResumePC),
-			pendingFlags: int32(p.PendingFlags),
-			nStack:       int32(len(p.Stack)),
-			pending:      s.encVal(p.Pending, gen),
-		})
-		for _, v := range p.Locals {
-			s.vals = append(s.vals, s.encVal(v, gen))
-		}
-		for _, v := range p.Stack {
-			s.vals = append(s.vals, s.encVal(v, gen))
+		p.Status = ProcStatus(d.buf[d.pos])
+		d.pos++
+		p.PC = int(d.uv())
+		p.WaitChan = int(d.uv()) - 1
+		p.WaitPort = int(d.uv()) - 1
+		p.AltIdx = int(d.uv()) - 1
+		p.ResumePC = int(d.uv()) - 1
+		d.values(p.Locals[:d.uv()])
+		p.Stack = resize(p.Stack, int(d.uv()))
+		d.values(p.Stack)
+		p.Pending, p.PendingFlags = Value{}, 0
+		if p.Status == PBlockedSend {
+			p.Pending = d.value()
+			p.PendingFlags = int(d.uv())
 		}
 	}
-	return s
+	m.heap.nextID = int(d.n)
+	m.ready = m.ready[:0]
+	m.commitTarget, m.commitArm = -1, -1
+	m.flt = nil
 }
 
-// decSnapVal translates a snapshot-encoded value back into a live value
-// over the machine's restored object pool.
-func (m *Machine) decSnapVal(v Value) Value {
-	if !v.IsRef {
-		return v
+type stateDecoder struct {
+	m     *Machine
+	buf   []byte
+	pos   int
+	types []*types.Type
+	n     int32 // objects decoded so far
+}
+
+func (d *stateDecoder) uv() uint64 {
+	if b := d.buf[d.pos]; b < 0x80 {
+		d.pos++
+		return uint64(b)
 	}
-	if v.Int < 0 {
+	return d.uvLong()
+}
+
+// uvLong is uv's multi-byte case, kept out of line so uv inlines.
+func (d *stateDecoder) uvLong() uint64 {
+	v, k := binary.Uvarint(d.buf[d.pos:])
+	d.pos += k
+	return v
+}
+
+// unzigzag inverts zigzag.
+func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
+
+func (d *stateDecoder) value() Value {
+	b := d.buf[d.pos]
+	d.pos++
+	switch {
+	case b < tagBig:
+		return Value{Int: unzigzag(uint64(b))}
+	case b == tagBig:
+		return Value{Int: unzigzag(d.uv())}
+	case b == tagNil:
 		return Value{IsRef: true}
+	case b == tagBack:
+		return Value{IsRef: true, Ref: d.m.objPool[d.uv()]}
 	}
-	return Value{IsRef: true, Ref: m.objPool[v.Int]}
+	// tagObj: objects arrive in first-visit order, so this one is the
+	// next pool entry, and every back-reference names an earlier one.
+	if int(d.n) == len(d.m.objPool) {
+		d.m.objPool = append(d.m.objPool, &Object{})
+	}
+	o := d.m.objPool[d.n]
+	o.ID = int(d.n)
+	d.n++
+	o.Type = d.types[d.uv()]
+	o.Freed = d.buf[d.pos] != 0
+	d.pos++
+	o.RC = int(unzigzag(d.uv()))
+	o.Tag = int(d.uv())
+	o.Elems = resize(o.Elems, int(d.uv()))
+	d.values(o.Elems)
+	return Value{IsRef: true, Ref: o}
 }
 
-// RestoreState overwrites the machine's semantic state with s, which must
-// come from a machine of the same program. Heap objects are rebuilt into
-// a pool private to this machine, reused across restores, so a restore
-// in steady state performs no allocation. (The pool is deliberately NOT
-// the execution heap's free list — Heap.Alloc never reuses objects, the
-// §5.2 use-after-free property; only whole-state replacement may recycle
-// them, because it retires every reference to the previous state at
-// once.)
-func (m *Machine) RestoreState(s *SavedState) {
-	m.heap.live = s.live
-	m.heap.nextID = s.nextID
-	m.heap.allocs = s.allocs
-	m.heap.frees = s.frees
-	m.commitTarget = s.commitTarget
-	m.commitArm = s.commitArm
-	m.flt = s.flt
-	m.ready = append(m.ready[:0], s.ready...)
-
-	for len(m.objPool) < len(s.objs) {
-		m.objPool = append(m.objPool, &Object{})
-	}
-	// Pass 1: headers and element storage (targets must exist before any
-	// reference decodes).
-	for i := range s.objs {
-		os := &s.objs[i]
-		o := m.objPool[i]
-		o.ID = int(os.id)
-		o.Type = os.typ
-		o.RC = int(os.rc)
-		o.Freed = os.freed
-		o.Tag = int(os.tag)
-		if cap(o.Elems) < int(os.n) {
-			o.Elems = make([]Value, os.n)
+// values decodes len(dst) values into dst. Scalars — most of a state —
+// take the one-byte path without leaving the loop.
+func (d *stateDecoder) values(dst []Value) {
+	for j := range dst {
+		if b := d.buf[d.pos]; b < tagBig {
+			d.pos++
+			dst[j] = Value{Int: unzigzag(uint64(b))}
 		} else {
-			o.Elems = o.Elems[:os.n]
+			dst[j] = d.value()
 		}
 	}
-	// Pass 2: elements.
-	for i := range s.objs {
-		os := &s.objs[i]
-		o := m.objPool[i]
-		for j := 0; j < int(os.n); j++ {
-			o.Elems[j] = m.decSnapVal(s.objVals[int(os.off)+j])
-		}
-	}
+}
 
-	k := 0
-	for i, p := range m.Procs {
-		ps := &s.procs[i]
-		p.Status = ps.status
-		p.PC = int(ps.pc)
-		p.WaitChan = int(ps.waitChan)
-		p.WaitPort = int(ps.waitPort)
-		p.AltIdx = int(ps.altIdx)
-		p.ResumePC = int(ps.resumePC)
-		p.PendingFlags = int(ps.pendingFlags)
-		p.Pending = m.decSnapVal(ps.pending)
-		for j := range p.Locals {
-			p.Locals[j] = m.decSnapVal(s.vals[k])
-			k++
-		}
-		p.Stack = p.Stack[:0]
-		for j := int32(0); j < ps.nStack; j++ {
-			p.Stack = append(p.Stack, m.decSnapVal(s.vals[k]))
-			k++
-		}
+// resize returns s with length n, reusing its storage when it fits.
+func resize(s []Value, n int) []Value {
+	if cap(s) < n {
+		return make([]Value, n)
 	}
-	// Wait queues are only populated in queue mode, which Save rejects;
-	// clear any leftovers so a restored machine is self-consistent.
-	for id := range m.sendQ {
-		delete(m.sendQ, id)
-	}
-	for id := range m.recvQ {
-		delete(m.recvQ, id)
-	}
+	return s[:n]
 }

@@ -66,12 +66,11 @@ type Object struct {
 	Elems []Value // record fields / union payload (len 1) / array elements
 
 	// mark/markIdx implement generation-stamped graph traversal for the
-	// state encoder and snapshotter (see encode.go, savedstate.go): an
-	// object is "visited this traversal" iff mark equals the machine's
-	// current generation, and markIdx is its first-visit index. Objects
-	// are never shared between machines (Clone deep-copies, RestoreState
-	// rebuilds into a per-machine pool), so a per-machine generation
-	// counter suffices.
+	// state encoder (see encode.go): an object is "visited this
+	// traversal" iff mark equals the machine's current generation, and
+	// markIdx is its first-visit index. Objects are never shared between
+	// machines (Clone deep-copies, DecodeState rebuilds into a
+	// per-machine pool), so a per-machine generation counter suffices.
 	mark    int64
 	markIdx int32
 }
@@ -107,7 +106,7 @@ func (o *Object) String() string {
 // reference observe a *different, possibly live* object — the engines
 // would diverge on use-after-free programs, which the differential
 // fuzzer caught.) Recycling stays off in Manual (model checker)
-// machines, whose snapshot machinery owns object lifetimes.
+// machines, whose state decoder owns object lifetimes.
 type Heap struct {
 	// MaxLive, when positive, bounds the number of simultaneously live
 	// objects. Exceeding it faults — the paper's way of catching leaks

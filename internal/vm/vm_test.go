@@ -769,22 +769,22 @@ process sender { $i = 0; while (i < 3) { out( c, i); i = i + 1; } }
 process receiver { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 `, vm.Config{Manual: true})
 	m.Settle()
-	snap := m.EncodeState()
+	snap := string(m.EncodeState())
 	cl := m.Clone()
-	if cl.EncodeState() != snap {
+	if string(cl.EncodeState()) != snap {
 		t.Fatal("clone state differs from original")
 	}
 	comms := m.EnabledComms()
 	m.FireComm(comms[0])
-	if m.EncodeState() == snap {
+	if string(m.EncodeState()) == snap {
 		t.Error("state unchanged after firing a transition")
 	}
-	if cl.EncodeState() != snap {
+	if string(cl.EncodeState()) != snap {
 		t.Error("clone mutated by running the original")
 	}
 	// The clone can take the same step and reach the same state.
 	cl.FireComm(comms[0])
-	if cl.EncodeState() != m.EncodeState() {
+	if string(cl.EncodeState()) != string(m.EncodeState()) {
 		t.Error("same transition from same state produced different states")
 	}
 }

@@ -63,6 +63,51 @@ func TestVerifyFirmwareParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestVerifyFirmwareMsgs6Deadlock pins an open finding: with six
+// messages the firmware model deadlocks after 23 transitions. Full search
+// and POR, at one and two workers, all report it at the same depth, and
+// each counterexample replays from the initial machine to a stuck state.
+// Whether the firmware or the NETCAP=4 test driver is at fault is not
+// settled; until it is, this test keeps the verdict from drifting.
+func TestVerifyFirmwareMsgs6Deadlock(t *testing.T) {
+	const msgs, depth = 6, 23
+	cfg := nic.DefaultConfig()
+	prog, err := compileModel(FirmwareModel(cfg, msgs), esplang.CompileOptions{Name: "vmmc-verify"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []esplang.VerifyOptions{{Reduction: esplang.NoReduction}, {Reduction: esplang.AmpleSets}} {
+		red := opts.Reduction
+		for _, w := range []int{1, 2} {
+			opts.Workers = w
+			res, err := VerifyFirmware(cfg, msgs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := res.Violation
+			if v == nil || !v.Deadlock {
+				t.Fatalf("%v, workers=%d: %v, want a deadlock", red, w, res)
+			}
+			if len(v.Trace) != depth {
+				t.Errorf("%v, workers=%d: deadlock after %d transitions, want %d", red, w, len(v.Trace), depth)
+			}
+			m := prog.Machine(esplang.MachineConfig{Manual: true, MaxLiveObjects: 64})
+			m.Cost = vm.ZeroCostModel()
+			m.Settle()
+			choices := make([]vm.CommChoice, len(v.Trace))
+			for i, st := range v.Trace {
+				choices[i] = st.Choice
+			}
+			if f := m.ReplayComms(choices); f != nil {
+				t.Fatalf("%v, workers=%d: replay faults: %v", red, w, f)
+			}
+			if !m.Deadlocked() || m.AtRest() {
+				t.Errorf("%v, workers=%d: the replayed counterexample does not end stuck", red, w)
+			}
+		}
+	}
+}
+
 func traceString(res *esplang.VerifyResult) string {
 	if res.Violation == nil {
 		return ""
