@@ -1,5 +1,5 @@
 // Command benchrec records the PR's headline benchmarks — the Figure 5
-// firmware workloads and the §5.3 verification runs — under the four
+// firmware workloads and the §5.3 verification runs — under the three
 // execution engine tiers and writes the numbers (ns/op, allocs/op,
 // verifier states and states/sec, and the cross-engine speedups) to a
 // JSON file, so performance claims are checked in, reproducible, and
@@ -50,9 +50,8 @@ type Bench struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the file layout of BENCH_PR10.json. The speedup maps compare
-// the engines inside this build (fused over baseline, and process-fused
-// over fused — the PR6 headline); SeedBenches and the vs-seed maps
+// Report is the file layout of BENCH_PR10.json. The speedup map compares
+// the engines inside this build; SeedBenches and the vs-seed map
 // (present when scripts/bench.sh was given a -seed ref) compare this
 // build against the repo's own `go test -bench` numbers at the pre-PR
 // commit, run on the same machine.
@@ -61,14 +60,10 @@ type Report struct {
 	GOARCH  string  `json:"goarch"`
 	NumCPU  int     `json:"num_cpu"`
 	Benches []Bench `json:"benchmarks"`
-	// SpeedupsOver is the generic cross-tier map: one
+	// SpeedupsOver is the cross-tier map: one
 	// "<workload>/<tier>_over_<tier>" key per adjacent-tier (and
-	// headline compiled-over-baseline) ratio. The two legacy maps below
-	// carry the same fused/procfused numbers under their PR6-era keys so
-	// existing tooling keeps parsing.
+	// headline compiled-over-baseline) ratio.
 	SpeedupsOver map[string]float64 `json:"speedups"`
-	Speedups     map[string]float64 `json:"speedups_fused_over_baseline"`
-	SpeedupsPF   map[string]float64 `json:"speedups_procfused_over_fused"`
 	// RecorderOverhead is the flight recorder's hot-path cost per engine:
 	// VMThroughput/recorder over plain VMThroughput, as a percentage —
 	// the median of interleaved per-round ratios (see recordPair), so it
@@ -77,14 +72,12 @@ type Report struct {
 	RecorderOverhead map[string]float64 `json:"recorder_overhead_pct,omitempty"`
 	SeedBenches      []Bench            `json:"seed_benchmarks,omitempty"`
 	SpeedupsVsSeed   map[string]float64 `json:"speedups_fused_over_seed,omitempty"`
-	SpeedupsPFSeed   map[string]float64 `json:"speedups_procfused_over_seed,omitempty"`
 }
 
 // seedNames maps the pre-PR repo benchmark names (as printed by `go test
-// -bench` at the seed commit) to this tool's workload names.
+// -bench` at the seed commit) to this tool's workload names. Fig5a is
+// left out: the repo's latency benchmarks run 10 rounds, this tool's 40.
 var seedNames = map[string]string{
-	"BenchmarkFig5aLatency/vmmcESP/64B":     "Fig5aLatency/64B",
-	"BenchmarkFig5aLatency/vmmcESP/4096B":   "Fig5aLatency/4096B",
 	"BenchmarkFig5bBandwidth/vmmcESP/1024B": "Fig5bBandwidth/1024B",
 	"BenchmarkVerifyMemSafety":              "VerifyMemSafety",
 	"BenchmarkVerifyFirmwareModel":          "VerifyFirmwareModel",
@@ -469,8 +462,8 @@ func main() {
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
 	repeat := flag.Int("repeat", 5, "runs per benchmark; the fastest is recorded")
 	seedBench := flag.String("seed-bench", "", "optional `go test -bench` output from the pre-PR commit to compare against")
-	engineList := flag.String("engines", "baseline,fused,procfused,compiled",
-		"comma-separated engine tiers to record (the fusion axis; compiled records VMThroughput only and needs a host Go toolchain)")
+	engineList := flag.String("engines", "baseline,fused,compiled",
+		"comma-separated engine tiers to record (the engine axis; compiled records VMThroughput only and needs a host Go toolchain)")
 	only := flag.String("workloads", "",
 		"comma-separated workload name prefixes to record (default all)")
 	flag.Parse()
@@ -494,8 +487,6 @@ func main() {
 			engines = append(engines, esplang.EngineBaseline)
 		case "fused":
 			engines = append(engines, esplang.EngineFused)
-		case "procfused":
-			engines = append(engines, esplang.EngineProcFused)
 		case "compiled":
 			if _, err := gobackend.Toolchain(); err != nil {
 				fmt.Fprintf(os.Stderr, "benchrec: skipping the compiled tier: %v\n", err)
@@ -504,7 +495,7 @@ func main() {
 			engines = append(engines, esplang.EngineCompiled)
 		case "":
 		default:
-			fmt.Fprintf(os.Stderr, "benchrec: unknown engine %q (want baseline, fused, procfused, compiled)\n", name)
+			fmt.Fprintf(os.Stderr, "benchrec: unknown engine %q (want baseline, fused, compiled)\n", name)
 			os.Exit(1)
 		}
 	}
@@ -514,8 +505,6 @@ func main() {
 		GOARCH:       runtime.GOARCH,
 		NumCPU:       runtime.NumCPU(),
 		SpeedupsOver: map[string]float64{},
-		Speedups:     map[string]float64{},
-		SpeedupsPF:   map[string]float64{},
 	}
 	byKey := map[string]Bench{}
 	recRatio := map[string]float64{}
@@ -563,28 +552,16 @@ func main() {
 		}
 	}
 	for _, wl := range workloads {
-		base, fused := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"]
-		pfused, compiled := byKey[wl.name+"/procfused"], byKey[wl.name+"/compiled"]
+		base, fused, compiled := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"], byKey[wl.name+"/compiled"]
 		if base.NsPerOp > 0 && fused.NsPerOp > 0 {
-			rep.Speedups[wl.name] = base.NsPerOp / fused.NsPerOp
 			rep.SpeedupsOver[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
-		}
-		if bs, fs := base.Metrics["states/sec"], fused.Metrics["states/sec"]; bs > 0 {
-			rep.Speedups[wl.name+"/states-per-sec"] = fs / bs
-		}
-		if fused.NsPerOp > 0 && pfused.NsPerOp > 0 {
-			rep.SpeedupsPF[wl.name] = fused.NsPerOp / pfused.NsPerOp
-			rep.SpeedupsOver[wl.name+"/procfused_over_fused"] = fused.NsPerOp / pfused.NsPerOp
-		}
-		if fs, ps := fused.Metrics["states/sec"], pfused.Metrics["states/sec"]; fs > 0 {
-			rep.SpeedupsPF[wl.name+"/states-per-sec"] = ps / fs
 		}
 		if compiled.NsPerOp > 0 {
 			if base.NsPerOp > 0 {
 				rep.SpeedupsOver[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
 			}
-			if pfused.NsPerOp > 0 {
-				rep.SpeedupsOver[wl.name+"/compiled_over_procfused"] = pfused.NsPerOp / compiled.NsPerOp
+			if fused.NsPerOp > 0 {
+				rep.SpeedupsOver[wl.name+"/compiled_over_fused"] = fused.NsPerOp / compiled.NsPerOp
 			}
 		}
 	}
@@ -622,7 +599,6 @@ func main() {
 		}
 		rep.SeedBenches = seeds
 		rep.SpeedupsVsSeed = map[string]float64{}
-		rep.SpeedupsPFSeed = map[string]float64{}
 		for _, s := range seeds {
 			fused, ok := byKey[s.Name+"/fused"]
 			if ok && s.NsPerOp > 0 && fused.NsPerOp > 0 {
@@ -631,26 +607,10 @@ func main() {
 					rep.SpeedupsVsSeed[s.Name+"/states-per-sec"] = fs / ss
 				}
 			}
-			pfused, ok := byKey[s.Name+"/procfused"]
-			if ok && s.NsPerOp > 0 && pfused.NsPerOp > 0 {
-				rep.SpeedupsPFSeed[s.Name] = s.NsPerOp / pfused.NsPerOp
-				if ss, ps := s.Metrics["states/sec"], pfused.Metrics["states/sec"]; ss > 0 {
-					rep.SpeedupsPFSeed[s.Name+"/states-per-sec"] = ps / ss
-				}
-			}
 		}
 		for k, v := range rep.SpeedupsVsSeed {
 			fmt.Printf("speedup-vs-seed %-32s %.2fx\n", k, v)
 		}
-		for k, v := range rep.SpeedupsPFSeed {
-			fmt.Printf("speedup-procfused-vs-seed %-32s %.2fx\n", k, v)
-		}
-	}
-	for k, v := range rep.Speedups {
-		fmt.Printf("speedup %-40s %.2fx\n", k, v)
-	}
-	for k, v := range rep.SpeedupsPF {
-		fmt.Printf("speedup-procfused %-40s %.2fx\n", k, v)
 	}
 	{
 		var keys []string

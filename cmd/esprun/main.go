@@ -39,8 +39,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles)")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
-		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions), procfused (adds static rendezvous scheduling), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
-		fuse       = flag.Bool("fuse", false, "run the process-fused engine (shorthand for -engine procfused)")
+		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions and static rendezvous scheduling), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
 		noFuse     = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
@@ -57,9 +56,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(2)
-	}
-	if *fuse {
-		engine = esplang.EngineProcFused
 	}
 	copts := esplang.CompileOptions{}
 	if *noFuse {
@@ -209,7 +205,7 @@ func main() {
 func runCompiledEngine(prog *esplang.Program, maxObjects int, maxCycles int64, showStats, showCycles bool) int {
 	if _, err := gobackend.Toolchain(); err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: -engine compiled needs a host Go toolchain: %v\n", err)
-		fmt.Fprintln(os.Stderr, "esprun: install Go or use -engine fused/procfused/baseline (identical semantics, interpreted)")
+		fmt.Fprintln(os.Stderr, "esprun: install Go or use -engine fused/baseline (identical semantics, interpreted)")
 		return 1
 	}
 	runner, err := gobackend.BuildProgram(prog, gobackend.BuildOptions{Name: prog.Name, File: prog.File})

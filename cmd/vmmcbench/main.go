@@ -38,19 +38,17 @@ var mcMetrics *obs.Metrics
 
 func main() {
 	var (
-		fig    = flag.String("fig", "", "figure to regenerate: 5a, 5b, 5c")
-		table  = flag.String("table", "", "table to regenerate: loc, verify, overhead")
-		all    = flag.Bool("all", false, "regenerate everything")
-		count  = flag.Int("count", 40, "messages per bandwidth measurement")
-		round  = flag.Int("rounds", 20, "round trips per latency measurement")
-		mcW    = flag.Int("mc-workers", 0, "verification tables: parallel model-checker workers (0 = all cores)")
-		trace  = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
-		prof   = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
-		tsize  = flag.Int("trace-size", 1024, "message size for -trace/-profile")
-		engN   = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused, procfused, or baseline (figures and verdicts are engine-independent)")
-		fuse   = flag.Bool("fuse", false, "run firmware on the process-fused engine (shorthand for -engine procfused)")
-		noFuse = flag.Bool("no-fuse", false, "pin firmware to the plain fused engine (dynamic rendezvous only; shorthand for -engine fused)")
-		telem  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
+		fig   = flag.String("fig", "", "figure to regenerate: 5a, 5b, 5c")
+		table = flag.String("table", "", "table to regenerate: loc, verify, overhead")
+		all   = flag.Bool("all", false, "regenerate everything")
+		count = flag.Int("count", 40, "messages per bandwidth measurement")
+		round = flag.Int("rounds", 20, "round trips per latency measurement")
+		mcW   = flag.Int("mc-workers", 0, "verification tables: parallel model-checker workers (0 = all cores)")
+		trace = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
+		prof  = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
+		tsize = flag.Int("trace-size", 1024, "message size for -trace/-profile")
+		engN  = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused or baseline (figures and verdicts are engine-independent)")
+		telem = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
 	)
 	flag.Parse()
 	mcWorkers = *mcW
@@ -58,12 +56,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)
 		os.Exit(2)
-	}
-	if *fuse {
-		engine = esplang.EngineProcFused
-	}
-	if *noFuse {
-		engine = esplang.EngineFused
 	}
 	vmmc.Engine = engine
 	mcEngine = engine

@@ -12,17 +12,28 @@ import (
 	"esplang/internal/vmmc"
 )
 
-// Differential tests for the three execution engines: the fused
-// hot-path engine and the process-fused engine (static rendezvous
-// scheduling, direct transfers, heap recycling) must both be
-// observationally indistinguishable from the baseline interpreter —
-// same outputs, same faults (down to file:line), same cycle meter, same
-// event statistics, same trace bytes, and same model-checker verdicts
-// and state counts. Stats.DirectXfers is the one deliberate exception:
-// it is a diagnostic counter only the process-fused engine increments
-// (charging zero cycles), so comparisons zero it first.
+// Differential tests for the interpreters: the fused engine
+// (superinstructions, static rendezvous scheduling, direct transfers,
+// heap recycling) must be observationally indistinguishable from the
+// baseline interpreter — same outputs, same faults (down to file:line),
+// same cycle meter, same event statistics, same trace bytes, and same
+// model-checker verdicts and state counts. Stats.DirectXfers is the one
+// deliberate exception: it is a diagnostic counter only the fast tiers
+// increment (charging zero cycles), so comparisons zero it first.
 
-var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused, esplang.EngineProcFused}
+var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused}
+
+// sameAcrossEngines renders one observation per engine and reports every
+// engine whose rendering differs from the baseline's.
+func sameAcrossEngines(t *testing.T, what string, render func(esplang.Engine) string) {
+	t.Helper()
+	base := render(allEngines[0])
+	for _, engine := range allEngines[1:] {
+		if got := render(engine); got != base {
+			t.Errorf("%s diverge:\n--- baseline ---\n%s\n--- %v ---\n%s", what, base, engine, got)
+		}
+	}
+}
 
 // engineRun executes path with the canonical inputs under one engine and
 // renders everything observable plus the cycle/statistics counters.
@@ -62,7 +73,7 @@ func engineRun(t *testing.T, path string, engine esplang.Engine) string {
 
 // TestEngineDifferentialTestdata: every sample program behaves
 // identically — outputs, fault state, cycles, and statistics — under
-// all three engines.
+// both engines.
 func TestEngineDifferentialTestdata(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.esp")
 	if err != nil || len(files) == 0 {
@@ -70,12 +81,7 @@ func TestEngineDifferentialTestdata(t *testing.T) {
 	}
 	for _, f := range files {
 		t.Run(filepath.Base(f), func(t *testing.T) {
-			base := engineRun(t, f, esplang.EngineBaseline)
-			for _, engine := range allEngines[1:] {
-				if got := engineRun(t, f, engine); got != base {
-					t.Errorf("%v diverges from baseline:\n--- baseline ---\n%s--- %v ---\n%s", engine, base, engine, got)
-				}
-			}
+			sameAcrossEngines(t, "runs", func(engine esplang.Engine) string { return engineRun(t, f, engine) })
 		})
 	}
 }
@@ -121,13 +127,7 @@ process p {
 func TestEngineDifferentialFaults(t *testing.T) {
 	for _, tc := range faultPrograms {
 		t.Run(tc.name, func(t *testing.T) {
-			type outcome struct {
-				fault  esplang.Fault
-				cycles int64
-				stats  string
-			}
-			var got [3]outcome
-			for i, engine := range allEngines {
+			sameAcrossEngines(t, "fault outcomes", func(engine esplang.Engine) string {
 				prog, err := esplang.Compile(tc.src, esplang.CompileOptions{File: tc.name + ".esp"})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
@@ -146,11 +146,8 @@ func TestEngineDifferentialFaults(t *testing.T) {
 				}
 				st := m.Stats
 				st.DirectXfers = 0
-				got[i] = outcome{fault: *f, cycles: m.Cycles, stats: fmt.Sprintf("%+v", st)}
-			}
-			if got[0] != got[1] || got[0] != got[2] {
-				t.Errorf("fault outcomes diverge:\nbaseline:  %+v\nfused:     %+v\nprocfused: %+v", got[0], got[1], got[2])
-			}
+				return fmt.Sprintf("fault=%+v cycles=%d stats=%+v", *f, m.Cycles, st)
+			})
 		})
 	}
 }
@@ -159,8 +156,7 @@ func TestEngineDifferentialFaults(t *testing.T) {
 // timestamps are derived from the cycle meter) is byte-identical across
 // engines.
 func TestEngineDifferentialTraces(t *testing.T) {
-	var traces [3]bytes.Buffer
-	for i, engine := range allEngines {
+	sameAcrossEngines(t, "trace streams", func(engine esplang.Engine) string {
 		prog, err := esplang.CompileFile("testdata/add5.esp", esplang.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -180,14 +176,12 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Run()
-		if err := tr.Write(&traces[i]); err != nil {
+		var trace bytes.Buffer
+		if err := tr.Write(&trace); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) || !bytes.Equal(traces[0].Bytes(), traces[2].Bytes()) {
-		t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- fused ---\n%s\n--- procfused ---\n%s",
-			traces[0].String(), traces[1].String(), traces[2].String())
-	}
+		return trace.String()
+	})
 }
 
 // TestEngineDifferentialVerify: the model checker visits the same state
@@ -198,17 +192,13 @@ func TestEngineDifferentialVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got [3]string
-	for i, engine := range allEngines {
+	sameAcrossEngines(t, "search results", func(engine esplang.Engine) string {
 		res := prog.Verify(esplang.VerifyOptions{Workers: 1, Engine: engine})
 		if res.Violation != nil {
 			t.Fatalf("engine %v: unexpected violation: %v", engine, res.Violation)
 		}
-		got[i] = fmt.Sprintf("states=%d transitions=%d truncated=%v", res.States, res.Transitions, res.Truncated)
-	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("search results diverge: baseline %s, fused %s, procfused %s", got[0], got[1], got[2])
-	}
+		return fmt.Sprintf("states=%d transitions=%d truncated=%v", res.States, res.Transitions, res.Truncated)
+	})
 }
 
 // TestEngineDifferentialVerifySeededBugs: every seeded memory bug and the
@@ -217,8 +207,7 @@ func TestEngineDifferentialVerify(t *testing.T) {
 func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 	for _, bug := range []vmmc.MemBug{vmmc.BugNone, vmmc.BugLeak, vmmc.BugUseAfterFree, vmmc.BugDoubleFree} {
 		t.Run(bug.String(), func(t *testing.T) {
-			var got [3]string
-			for i, engine := range allEngines {
+			sameAcrossEngines(t, "verdicts", func(engine esplang.Engine) string {
 				res, err := vmmc.VerifyMemSafety(bug, esplang.VerifyOptions{Workers: 1, Engine: engine})
 				if err != nil {
 					t.Fatal(err)
@@ -227,16 +216,12 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 				if res.Violation != nil {
 					viol = res.Violation.Fault.Error()
 				}
-				got[i] = fmt.Sprintf("states=%d violation=%s", res.States, viol)
-			}
-			if got[0] != got[1] || got[0] != got[2] {
-				t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s\nprocfused: %s", got[0], got[1], got[2])
-			}
+				return fmt.Sprintf("states=%d violation=%s", res.States, viol)
+			})
 		})
 	}
 	t.Run("retrans-buggy", func(t *testing.T) {
-		var got [3]string
-		for i, engine := range allEngines {
+		sameAcrossEngines(t, "verdicts", func(engine esplang.Engine) string {
 			res, err := vmmc.VerifyRetrans(2, 3, true, esplang.VerifyOptions{Workers: 1, Engine: engine})
 			if err != nil {
 				t.Fatal(err)
@@ -244,11 +229,8 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 			if res.Violation == nil {
 				t.Fatalf("engine %v: seeded retransmission bug not found", engine)
 			}
-			got[i] = fmt.Sprintf("states=%d fault=%s", res.States, res.Violation.Fault.Error())
-		}
-		if got[0] != got[1] || got[0] != got[2] {
-			t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s\nprocfused: %s", got[0], got[1], got[2])
-		}
+			return fmt.Sprintf("states=%d fault=%s", res.States, res.Violation.Fault.Error())
+		})
 	})
 }
 
@@ -258,18 +240,14 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 func TestEngineDifferentialVMMC(t *testing.T) {
 	cfg := nic.DefaultConfig()
 	defer func(prev esplang.Engine) { vmmc.Engine = prev }(vmmc.Engine)
-	var lat [3]float64
-	for i, engine := range allEngines {
+	sameAcrossEngines(t, "firmware latencies", func(engine esplang.Engine) string {
 		vmmc.Engine = engine
 		v, err := vmmc.PingPong(vmmc.ESP, cfg, 64, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat[i] = v
-	}
-	if lat[0] != lat[1] || lat[0] != lat[2] {
-		t.Errorf("firmware latency diverges: baseline %.3f ns, fused %.3f ns, procfused %.3f ns", lat[0], lat[1], lat[2])
-	}
+		return fmt.Sprintf("%v ns", v)
+	})
 }
 
 // TestEngineProfilerParity: installing a profiler routes execution
@@ -277,8 +255,7 @@ func TestEngineDifferentialVMMC(t *testing.T) {
 // charged from fused groups), so the profile and counters of a
 // fused-configured machine match a baseline machine exactly.
 func TestEngineProfilerParity(t *testing.T) {
-	var got [3]string
-	for i, engine := range allEngines {
+	sameAcrossEngines(t, "profiles", func(engine esplang.Engine) string {
 		prog, err := esplang.CompileFile("testdata/pipeline.esp", esplang.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -290,16 +267,13 @@ func TestEngineProfilerParity(t *testing.T) {
 		if f := m.Fault(); f != nil {
 			t.Fatalf("engine %v: %v", engine, f)
 		}
-		got[i] = fmt.Sprintf("cycles=%d stats=%+v\n%s", m.Cycles, m.Stats, prof.Report(prog.Source, 20))
-	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("profiles diverge:\n--- baseline ---\n%s\n--- fused ---\n%s\n--- procfused ---\n%s", got[0], got[1], got[2])
-	}
+		return fmt.Sprintf("cycles=%d stats=%+v\n%s", m.Cycles, m.Stats, prof.Report(prog.Source, 20))
+	})
 }
 
 // TestEngineDifferentialTracesTestdata: the full trace-event stream of
 // every sample program — timestamps derived from the cycle meter — is
-// byte-identical between the baseline and process-fused engines, so the
+// byte-identical between the baseline and fused engines, so the
 // static schedule's fast paths (direct transfers, narrowed scans, heap
 // recycling) are invisible to every observer.
 func TestEngineDifferentialTracesTestdata(t *testing.T) {
@@ -309,8 +283,7 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 	}
 	for _, f := range files {
 		t.Run(filepath.Base(f), func(t *testing.T) {
-			var traces [2]bytes.Buffer
-			for i, engine := range []esplang.Engine{esplang.EngineBaseline, esplang.EngineProcFused} {
+			sameAcrossEngines(t, "trace streams", func(engine esplang.Engine) string {
 				prog, err := esplang.CompileFile(f, esplang.CompileOptions{})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
@@ -320,20 +293,18 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 				m.SetTracer(tr)
 				feedInputs(t, prog, m)
 				m.Run()
-				if err := tr.Write(&traces[i]); err != nil {
+				var trace bytes.Buffer
+				if err := tr.Write(&trace); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
-				t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- procfused ---\n%s",
-					traces[0].String(), traces[1].String())
-			}
+				return trace.String()
+			})
 		})
 	}
 }
 
 // TestEngineDifferentialVerifyParallel: with several model-checker
-// workers racing over the frontier, the process-fused engine still
+// workers racing over the frontier, the fused engine still
 // explores exactly the baseline's state space (the exhaustive search's
 // state count is worker-count-invariant).
 func TestEngineDifferentialVerifyParallel(t *testing.T) {
@@ -341,15 +312,11 @@ func TestEngineDifferentialVerifyParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got [3]string
-	for i, engine := range allEngines {
+	sameAcrossEngines(t, "parallel searches", func(engine esplang.Engine) string {
 		res := prog.Verify(esplang.VerifyOptions{Workers: 4, Engine: engine})
 		if res.Violation != nil {
 			t.Fatalf("engine %v: unexpected violation: %v", engine, res.Violation)
 		}
-		got[i] = fmt.Sprintf("states=%d transitions=%d", res.States, res.Transitions)
-	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("parallel search diverges: baseline %s, fused %s, procfused %s", got[0], got[1], got[2])
-	}
+		return fmt.Sprintf("states=%d transitions=%d", res.States, res.Transitions)
+	})
 }

@@ -85,8 +85,9 @@ func TestAppendixBFusedDisasmGolden(t *testing.T) {
 }
 
 // TestPipelineFusedDisasmGolden locks the fused rendering of a program
-// whose counter loops actually fuse: fconstst, flccmpbr, fincrlocal,
-// floadsend, and friends all appear here with their base-pc ranges.
+// whose counter loops actually fuse and whose channels are statically
+// matched: fconstst, flccmpbr, fincrlocal, fsenddir/frecvdir with their
+// partners, and friends all appear here with their base-pc ranges.
 func TestPipelineFusedDisasmGolden(t *testing.T) {
 	prog, err := esplang.CompileFile("testdata/pipeline.esp", esplang.CompileOptions{Name: "pipeline"})
 	if err != nil {

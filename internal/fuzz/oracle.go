@@ -165,19 +165,15 @@ func (r *Report) guard(stage string, fn func()) (ok bool) {
 }
 
 // allEngines in baseline-first order: the baseline interpreter is the
-// semantics oracle the other two must match.
-var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused, esplang.EngineProcFused}
-
-func engineName(e esplang.Engine) string {
-	return fmt.Sprint(e)
-}
+// semantics oracle the fused engine must match.
+var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused}
 
 // RunDifferential runs one ESP source through every backend and
 // cross-checks everything observable:
 //
 //   - parse + formatter fixpoint (print, reparse, print again);
 //   - compile determinism (disassembly, fused disassembly, vet findings);
-//   - the three engines × {optimized, fusion-off}: outputs, faults with
+//   - both interpreters × {optimized, fusion-off}: outputs, faults with
 //     file:line, cycle meter, statistics, trace bytes — all must be
 //     byte-identical (Stats.DirectXfers excepted, as in the repo's
 //     differential suite);
@@ -313,7 +309,7 @@ func RunDifferential(name, src string, opts Options) *Report {
 	runMatrix := func(cfgName string, prog *esplang.Program) []vmRun {
 		var rs []vmRun
 		for _, eng := range allEngines {
-			stage := fmt.Sprintf("vm/%s/%s", cfgName, engineName(eng))
+			stage := fmt.Sprintf("vm/%s/%v", cfgName, eng)
 			var run vmRun
 			if rep.guard(stage, func() { run = runVM(prog, eng, opts) }) {
 				run.cfg = stage
@@ -386,7 +382,7 @@ func RunDifferential(name, src string, opts Options) *Report {
 		}
 		var mcs []mcRun
 		for _, eng := range allEngines {
-			stage := fmt.Sprintf("mc/%s", engineName(eng))
+			stage := fmt.Sprintf("mc/%v", eng)
 			var res *esplang.VerifyResult
 			if rep.guard(stage, func() { res = full.Verify(mcOpts(eng, 1)) }) {
 				mcs = append(mcs, mcRun{stage, res})

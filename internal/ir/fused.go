@@ -92,13 +92,13 @@ const (
 	FLoadSend  // LoadLocal A; Send on B with flags C
 	FConstSend // Const Val; Send on B with flags C
 
-	// Direct-transfer instructions, emitted only by the schedule-aware
-	// translation (FuseProgramSched). Each replaces a communication site
-	// on a statically-matched channel: the schedule proves exactly one
-	// process can ever stand on the other side, so the engine checks that
-	// one partner's status instead of scanning every process. C names the
+	// Direct-transfer instructions, emitted only when FuseProgram is given
+	// a schedule. Each replaces a communication site on a
+	// statically-matched channel: the schedule proves exactly one process
+	// can ever stand on the other side, so the engine checks that one
+	// partner's status instead of scanning every process. C names the
 	// partner's process index; the dynamic fallback (Manual mode, queue
-	// mode, no schedule) treats them exactly like FSend/FRecv.
+	// mode) treats them exactly like FSend/FRecv.
 	FSendDir // Send on A with flags B; partner C
 	FRecvDir // Recv on A into port B; partner C
 	FXferRec // NewRecord (Type, B fields, absorb Val); Send on A, FreeAfter=Sense; partner C
@@ -207,17 +207,12 @@ var mirror = [...]FOp{
 	Send: FSend, SendCommit: FSendCommit, Recv: FRecv, Alt: FAlt,
 }
 
-// FuseProc translates one process. u resolves allocation-site types; it
-// may be nil for hand-built test programs that allocate nothing.
-func FuseProc(p *Proc, u *types.Universe) *FusedProc {
-	return fuseProcWith(p, u, nil, nil)
-}
-
-// fuseProcWith is FuseProc plus the schedule-aware rewrite: dirSend maps
-// the pc of a Send on a statically-matched channel to the partner's
-// process index, dirRecv the same for Recv sites. Nil maps yield the
+// fuseProc translates one process. u resolves allocation-site types; it
+// may be nil for hand-built test programs that allocate nothing. dirSend
+// maps the pc of a Send on a statically-matched channel to the partner's
+// process index, dirRecv the same for Recv sites; nil maps yield the
 // plain translation.
-func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *FusedProc {
+func fuseProc(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *FusedProc {
 	entry := fuseEntryPoints(p)
 	fp := &FusedProc{Map: make([]int32, len(p.Code)+1)}
 	for i := range fp.Map {
@@ -373,22 +368,12 @@ func fuseAt(code []Instr, pc int, interiorFree func(pc, n int) bool) (FInstr, in
 	return FInstr{Op: op, A: int32(in.A), B: int32(in.B), Val: in.Val}, 1
 }
 
-// FuseProgram translates every process. The result is independent of the
-// program's Fused field; callers that cache it there must do so before
-// sharing the program across machines.
-func FuseProgram(prog *Program) []*FusedProc {
-	out := make([]*FusedProc, len(prog.Procs))
-	for i, p := range prog.Procs {
-		out[i] = FuseProc(p, prog.Universe)
-	}
-	return out
-}
-
-// FuseProgramSched translates every process with the direct-transfer
-// rewrite applied at the schedule's statically-matched communication
-// sites. The result is what EngineProcFused executes; like FuseProgram,
-// it is independent of the program's cached fields.
-func FuseProgramSched(prog *Program, sched *Schedule) []*FusedProc {
+// FuseProgram translates every process. A non-nil sched applies the
+// direct-transfer rewrite at the schedule's statically-matched
+// communication sites; nil gives the plain form. The result is
+// independent of the program's Fused field; callers that cache it there
+// must do so before sharing the program across machines.
+func FuseProgram(prog *Program, sched *Schedule) []*FusedProc {
 	dirSend := make([]map[int]int32, len(prog.Procs))
 	dirRecv := make([]map[int]int32, len(prog.Procs))
 	if sched != nil {
@@ -409,7 +394,7 @@ func FuseProgramSched(prog *Program, sched *Schedule) []*FusedProc {
 	}
 	out := make([]*FusedProc, len(prog.Procs))
 	for i, p := range prog.Procs {
-		out[i] = fuseProcWith(p, prog.Universe, dirSend[i], dirRecv[i])
+		out[i] = fuseProc(p, prog.Universe, dirSend[i], dirRecv[i])
 	}
 	return out
 }

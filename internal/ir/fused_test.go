@@ -12,7 +12,7 @@ func proc(code []Instr) *Proc {
 // every non-interior entry is within range.
 func fuse(t *testing.T, p *Proc) *FusedProc {
 	t.Helper()
-	fp := FuseProc(p, nil)
+	fp := fuseProc(p, nil, nil, nil)
 	if len(fp.Map) != len(p.Code)+1 {
 		t.Fatalf("Map length %d, want %d", len(fp.Map), len(p.Code)+1)
 	}
@@ -182,11 +182,29 @@ func TestFuseProgramCoversAllProcs(t *testing.T) {
 		proc([]Instr{{Op: Halt}}),
 		proc([]Instr{{Op: Const, Val: 1}, {Op: StoreLocal, A: 0}, {Op: Halt}}),
 	}}
-	fused := FuseProgram(prog)
+	fused := FuseProgram(prog, nil)
 	if len(fused) != 2 {
 		t.Fatalf("FuseProgram returned %d procs, want 2", len(fused))
 	}
 	if fused[1].Code[0].Op != FConstSt {
 		t.Errorf("proc 1: want FConstSt, got %v", fused[1].Code[0].Op)
+	}
+}
+
+// TestFuseProgramDirectTransfers: without a schedule the sender's load
+// fuses into floadsend; with one, the scheduled sites become direct
+// transfers that name their static partner.
+func TestFuseProgramDirectTransfers(t *testing.T) {
+	prog := &Program{Procs: []*Proc{
+		proc([]Instr{{Op: LoadLocal, A: 0}, {Op: Send, A: 0}, {Op: Halt}}),
+		proc([]Instr{{Op: Recv, A: 0}, {Op: Halt}}),
+	}}
+	if plain := FuseProgram(prog, nil); plain[0].Code[0].Op != FLoadSend || plain[1].Code[0].Op != FRecv {
+		t.Errorf("plain form: %v, %v", plain[0].Code[0].Op, plain[1].Code[0].Op)
+	}
+	sched := &Schedule{Pairs: []SchedPair{{Sender: 0, Recv: 1, SendPCs: []int{1}, RecvPCs: []int{0}}}}
+	dir := FuseProgram(prog, sched)
+	if snd, rcv := dir[0].Code[1], dir[1].Code[0]; snd.Op != FSendDir || snd.C != 1 || rcv.Op != FRecvDir || rcv.C != 0 {
+		t.Errorf("scheduled form: %+v, %+v", snd, rcv)
 	}
 }

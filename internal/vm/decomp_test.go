@@ -11,25 +11,17 @@ import (
 // engine: the cycle meter is exactly the dot product of the event counters
 // with the cost model. There is no Frees term (a free is bookkeeping the
 // collector does between instructions, never charged), and DirectXfers —
-// the process-fused engine's diagnostic — must contribute nothing: a
-// direct transfer is a rendezvous that already paid the Rendezvous price.
+// the fused engine's diagnostic — must contribute nothing: a direct
+// transfer is a rendezvous that already paid the Rendezvous price.
 func TestCycleDecompositionExact(t *testing.T) {
-	engines := []struct {
-		name string
-		eng  vm.Engine
-	}{
-		{"baseline", vm.EngineBaseline},
-		{"fused", vm.EngineFused},
-		{"procfused", vm.EngineProcFused},
-	}
-	var cycles [3]int64
-	for i, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
+	var cycles [2]int64
+	for i, eng := range []vm.Engine{vm.EngineBaseline, vm.EngineFused} {
+		t.Run(eng.String(), func(t *testing.T) {
 			prog := compileSrc(t, pingPongSrc)
 			if _, err := opt.Run(prog, opt.All()); err != nil {
 				t.Fatalf("opt: %v", err)
 			}
-			m := vm.New(prog, vm.Config{Engine: e.eng})
+			m := vm.New(prog, vm.Config{Engine: eng})
 			if err := m.BindReader("outC", &vm.CollectReader{}); err != nil {
 				t.Fatal(err)
 			}
@@ -52,21 +44,20 @@ func TestCycleDecompositionExact(t *testing.T) {
 				t.Errorf("cycle meter %d, decomposition says %d (stats: %s)",
 					m.Cycles, want, s)
 			}
-			if e.eng == vm.EngineProcFused {
+			if eng == vm.EngineFused {
 				if s.DirectXfers == 0 {
-					t.Error("process-fused engine took no direct transfers on a fusable pair")
+					t.Error("fused engine took no direct transfers on a fusable pair")
 				}
 				if s.DirectXfers > s.Rendezvous {
 					t.Errorf("directxfers %d exceeds rendezvous %d", s.DirectXfers, s.Rendezvous)
 				}
 			} else if s.DirectXfers != 0 {
-				t.Errorf("engine %s counted %d direct transfers", e.name, s.DirectXfers)
+				t.Errorf("engine %v counted %d direct transfers", eng, s.DirectXfers)
 			}
 			cycles[i] = m.Cycles
 		})
 	}
-	if cycles[0] != cycles[1] || cycles[0] != cycles[2] {
-		t.Errorf("engines disagree on total cycles: baseline=%d fused=%d procfused=%d",
-			cycles[0], cycles[1], cycles[2])
+	if cycles[0] != cycles[1] {
+		t.Errorf("engines disagree on total cycles: baseline=%d fused=%d", cycles[0], cycles[1])
 	}
 }

@@ -6,24 +6,24 @@ import "fmt"
 // default (the zero value): it runs the load-time translation of
 // ir.FuseProgram and is observably identical to the baseline — same
 // Stats, same cycle meter, same faults, same trace events — just faster.
-// The baseline engine remains as the differential-testing oracle. The
-// process-fused engine additionally executes the optimizer's static
-// rendezvous schedule: direct-transfer instructions on
-// statically-matched channels, narrowed partner scans everywhere else,
-// and heap-object recycling — still observably identical, with one
-// extra diagnostic counter (Stats.DirectXfers) that charges no cycles.
-// The compiled engine executes ahead-of-time generated Go code (see
-// internal/gobackend): one native function per process, installed with
-// Machine.InstallCompiled. A machine configured for EngineCompiled but
-// without installed functions falls back to the baseline loop, so the
-// configuration is always safe to run in-process.
+// It turns each fast path on wherever it is valid: direct-transfer
+// instructions on channels the optimizer's static rendezvous schedule
+// matched, narrowed partner scans on auto bit-mask machines with a
+// schedule, and element-storage recycling on every machine that is not
+// Manual. The one observable extra is a diagnostic counter
+// (Stats.DirectXfers) that charges no cycles. The baseline engine
+// remains as the differential-testing oracle. The compiled engine
+// executes ahead-of-time generated Go code (see internal/gobackend): one
+// native function per process, installed with Machine.InstallCompiled. A
+// machine configured for EngineCompiled but without installed functions
+// falls back to the baseline loop, so the configuration is always safe
+// to run in-process.
 type Engine uint8
 
 // Engines.
 const (
 	EngineFused Engine = iota
 	EngineBaseline
-	EngineProcFused
 	EngineCompiled
 )
 
@@ -33,8 +33,6 @@ func (e Engine) String() string {
 		return "fused"
 	case EngineBaseline:
 		return "baseline"
-	case EngineProcFused:
-		return "procfused"
 	case EngineCompiled:
 		return "compiled"
 	}
@@ -48,10 +46,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineFused, nil
 	case "baseline":
 		return EngineBaseline, nil
-	case "procfused":
-		return EngineProcFused, nil
 	case "compiled":
 		return EngineCompiled, nil
 	}
-	return EngineFused, fmt.Errorf("unknown engine %q (want baseline, fused, procfused, or compiled)", s)
+	return EngineFused, fmt.Errorf("unknown engine %q (want baseline, fused, or compiled)", s)
 }

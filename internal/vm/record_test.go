@@ -31,40 +31,32 @@ process consumer {
 }
 `
 
-var recEngines = []struct {
-	name   string
-	engine vm.Engine
-}{
-	{"baseline", vm.EngineBaseline},
-	{"fused", vm.EngineFused},
-	{"procfused", vm.EngineProcFused},
-}
+var recEngines = []vm.Engine{vm.EngineBaseline, vm.EngineFused}
 
 // TestPostmortemIdenticalAcrossEngines asserts the engine-equivalence
 // contract extends to the flight recorder: the same fault produces a
-// bit-identical postmortem under all three engines.
+// bit-identical postmortem under both engines.
 func TestPostmortemIdenticalAcrossEngines(t *testing.T) {
 	var dumps []string
 	for _, e := range recEngines {
-		m := newMachine(t, faultSrc, vm.Config{Engine: e.engine})
+		m := newMachine(t, faultSrc, vm.Config{Engine: e})
 		m.SetRecorder(obs.NewFlightRecorder(0))
 		if res := m.Run(); res != vm.RunFault {
-			t.Fatalf("%s: result %v, want fault", e.name, res)
+			t.Fatalf("%v: result %v, want fault", e, res)
 		}
 		pm := m.Postmortem(obs.PostmortemEvents)
 		if pm == "" {
-			t.Fatalf("%s: empty postmortem", e.name)
+			t.Fatalf("%v: empty postmortem", e)
 		}
 		if _, err := obs.ValidatePostmortem([]byte(pm)); err != nil {
-			t.Fatalf("%s: postmortem invalid: %v\n%s", e.name, err, pm)
+			t.Fatalf("%v: postmortem invalid: %v\n%s", e, err, pm)
 		}
 		dumps = append(dumps, pm)
 	}
 	for i := 1; i < len(dumps); i++ {
 		if dumps[i] != dumps[0] {
 			t.Errorf("postmortem differs between %s and %s:\n--- %s:\n%s\n--- %s:\n%s",
-				recEngines[0].name, recEngines[i].name,
-				recEngines[0].name, dumps[0], recEngines[i].name, dumps[i])
+				recEngines[0], recEngines[i], recEngines[0], dumps[0], recEngines[i], dumps[i])
 		}
 	}
 	// The dump names the fault and charges real cycles.
@@ -81,16 +73,16 @@ func TestPostmortemIdenticalAcrossEngines(t *testing.T) {
 // and without it.
 func TestRecorderPreservesExecution(t *testing.T) {
 	for _, e := range recEngines {
-		plain := newMachine(t, faultSrc, vm.Config{Engine: e.engine})
+		plain := newMachine(t, faultSrc, vm.Config{Engine: e})
 		plain.Run()
-		rec := newMachine(t, faultSrc, vm.Config{Engine: e.engine})
+		rec := newMachine(t, faultSrc, vm.Config{Engine: e})
 		rec.SetRecorder(obs.NewFlightRecorder(0))
 		rec.Run()
 		if plain.Cycles != rec.Cycles {
-			t.Errorf("%s: cycles %d with recorder, %d without", e.name, rec.Cycles, plain.Cycles)
+			t.Errorf("%v: cycles %d with recorder, %d without", e, rec.Cycles, plain.Cycles)
 		}
 		if plain.Stats != rec.Stats {
-			t.Errorf("%s: stats diverge with recorder:\n  on:  %v\n  off: %v", e.name, rec.Stats, plain.Stats)
+			t.Errorf("%v: stats diverge with recorder:\n  on:  %v\n  off: %v", e, rec.Stats, plain.Stats)
 		}
 	}
 }

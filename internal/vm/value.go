@@ -95,8 +95,8 @@ func (o *Object) String() string {
 // Heap is the object store of one machine. By default objects are never
 // reused; freed objects keep their contents so use-after-free is
 // detectable, the property the verifier checks exhaustively (§5.2). The
-// process-fused engine turns on recycling (see Machine.New): freed
-// The element storage of freed objects goes on a free list and Alloc
+// fused and compiled engines turn on recycling outside Manual mode (see
+// New): the element storage of freed objects goes on a free list and Alloc
 // reuses it, so the hot allocate-send-free cycle stops hitting the Go
 // allocator for the (dominant) backing arrays. The Object shell itself
 // is never reused: a freed shell survives as a permanent tombstone with
