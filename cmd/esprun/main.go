@@ -41,7 +41,7 @@ func main() {
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
 		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions and static rendezvous scheduling), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
 		noFuse     = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
-		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
+		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it; -trace keeps every event instead)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
 		telemetry  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): /metrics, /statusz, /trace?last=N")
 		linger     = flag.Duration("telemetry-linger", 0, "keep the telemetry server up this long after the run ends, so scrapers can collect final state")
@@ -85,19 +85,22 @@ func main() {
 	}
 	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: *maxObjects, MaxCycles: *maxCycles, Engine: engine})
 
-	var tr *obs.ChromeTracer
-	if *tracePath != "" {
-		tr = obs.NewChromeTracer(1) // timestamps are VM cycles
-		m.SetTracer(tr)
-	}
 	var prof *obs.Profiler
 	if *profile {
 		prof = obs.NewProfiler(flag.Arg(0))
 		m.SetProfiler(prof)
 	}
+	// One event sink: -trace needs every event, so it attaches a full
+	// recorder, which then also serves -postmortem and /trace; otherwise
+	// the bounded -flight ring.
 	var rec *obs.FlightRecorder
-	if *flight > 0 {
+	switch {
+	case *tracePath != "":
+		rec = obs.NewEventLog()
+	case *flight > 0:
 		rec = obs.NewFlightRecorder(*flight)
+	}
+	if rec != nil {
 		m.SetRecorder(rec)
 	}
 	var srv *obs.Server
@@ -150,10 +153,11 @@ func main() {
 
 	// The trace and profile are written even when the run faulted — a
 	// fault is exactly when the timeline is most useful.
-	if tr != nil {
+	if *tracePath != "" {
+		rec.Sync()
 		f, err := os.Create(*tracePath)
 		if err == nil {
-			err = tr.Write(f)
+			err = rec.WriteChrome(f, 0) // timestamps are VM cycles
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -162,7 +166,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "esprun: writing trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", tr.Len(), *tracePath)
+		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", rec.Total(), *tracePath)
 	}
 	if prof != nil {
 		fmt.Fprint(os.Stderr, prof.Report(prog.Source, *profileTop))

@@ -95,10 +95,8 @@ func compiledBaselineRun(t *testing.T, path string, trace bool) string {
 		t.Fatalf("compile: %v", err)
 	}
 	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: 64, Engine: esplang.EngineBaseline})
-	var log *obs.EventLog
 	if trace {
-		log = obs.NewEventLog()
-		m.SetTracer(log)
+		m.SetRecorder(obs.NewEventLog())
 	}
 	readers := feedInputs(t, prog, m)
 	res := m.Run()
@@ -126,7 +124,8 @@ func compiledBaselineRun(t *testing.T, path string, trace bool) string {
 		b.WriteString("\n")
 	}
 	if trace {
-		fmt.Fprintf(&b, "trace: %s\n", traceSum(log.Events()))
+		m.Recorder().Sync()
+		fmt.Fprintf(&b, "trace: %s\n", traceSum(m.Recorder().Snapshot(0)))
 	}
 	return b.String()
 }

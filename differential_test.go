@@ -152,9 +152,9 @@ func TestEngineDifferentialFaults(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialTraces: the Chrome trace-event stream (whose
-// timestamps are derived from the cycle meter) is byte-identical across
-// engines.
+// TestEngineDifferentialTraces: the Chrome trace rendered from a full
+// event recorder (timestamps derived from the cycle meter) is
+// byte-identical across engines.
 func TestEngineDifferentialTraces(t *testing.T) {
 	sameAcrossEngines(t, "trace streams", func(engine esplang.Engine) string {
 		prog, err := esplang.CompileFile("testdata/add5.esp", esplang.CompileOptions{})
@@ -162,8 +162,8 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := prog.Machine(esplang.MachineConfig{Engine: engine})
-		tr := obs.NewChromeTracer(1)
-		m.SetTracer(tr)
+		rec := obs.NewEventLog()
+		m.SetRecorder(rec)
 		w := &esplang.QueueWriter{}
 		for _, v := range []int64{1, 10, 37} {
 			v := v
@@ -176,8 +176,9 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Run()
+		rec.Sync()
 		var trace bytes.Buffer
-		if err := tr.Write(&trace); err != nil {
+		if err := rec.WriteChrome(&trace, 0); err != nil {
 			t.Fatal(err)
 		}
 		return trace.String()
@@ -271,8 +272,9 @@ func TestEngineProfilerParity(t *testing.T) {
 	})
 }
 
-// TestEngineDifferentialTracesTestdata: the full trace-event stream of
-// every sample program — timestamps derived from the cycle meter — is
+// TestEngineDifferentialTracesTestdata: the full recorded event stream
+// of every sample program, rendered as a Chrome trace — timestamps
+// derived from the cycle meter — is
 // byte-identical between the baseline and fused engines, so the
 // static schedule's fast paths (direct transfers, narrowed scans, heap
 // recycling) are invisible to every observer.
@@ -289,12 +291,13 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 					t.Fatalf("compile: %v", err)
 				}
 				m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: 64, Engine: engine})
-				tr := obs.NewChromeTracer(1)
-				m.SetTracer(tr)
+				rec := obs.NewEventLog()
+				m.SetRecorder(rec)
 				feedInputs(t, prog, m)
 				m.Run()
+				rec.Sync()
 				var trace bytes.Buffer
-				if err := tr.Write(&trace); err != nil {
+				if err := rec.WriteChrome(&trace, 0); err != nil {
 					t.Fatal(err)
 				}
 				return trace.String()

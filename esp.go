@@ -35,6 +35,7 @@ import (
 	"esplang/internal/compile"
 	"esplang/internal/ir"
 	"esplang/internal/mc"
+	"esplang/internal/obs"
 	"esplang/internal/opt"
 	"esplang/internal/parser"
 	"esplang/internal/promela"
@@ -158,6 +159,11 @@ const (
 // the given depth so the generated function can spill its Go-local slots
 // before a blocking point or stack-consuming operation.
 var CGSpill = vm.CGSpill
+
+// NewEventLog returns a full flight recorder, which keeps every event of
+// a run (Machine.SetRecorder attaches it). Generated compiled-engine
+// harnesses hash its events for the traced differential digest.
+var NewEventLog = obs.NewEventLog
 
 // OptAll returns the full optimizer pipeline — the default when
 // CompileOptions.Passes is zero. CLIs start from it to switch single

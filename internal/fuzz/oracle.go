@@ -603,9 +603,7 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 		MaxCycles:      opts.MaxCycles,
 		Engine:         engine,
 	})
-	log := obs.NewEventLog()
-	m.SetTracer(log)
-	rec := obs.NewFlightRecorder(0)
+	rec := obs.NewEventLog()
 	m.SetRecorder(rec)
 	readers := bindExternals(prog, m, opts.InputsPerChannel)
 	res := m.Run()
@@ -632,8 +630,10 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "trace: %s\n", eventSum(log.Events()))
-	out := vmRun{render: b.String(), events: log.Events()}
+	rec.Sync()
+	events := rec.Snapshot(0)
+	fmt.Fprintf(&b, "trace: %s\n", eventSum(events))
+	out := vmRun{render: b.String(), events: events}
 	if m.Fault() != nil {
 		out.pm = m.Postmortem(obs.PostmortemEvents)
 	}

@@ -28,7 +28,7 @@
 // partner's code — a deferred context switch (vm.CGXfer) that performs
 // exactly the scheduler's bookkeeping without the ready-queue round
 // trip. The fused path only runs on a quiet machine (vm.CGQuiet: no
-// tracer, recorder, metrics, or profiler); the generated dispatchers
+// recorder, metrics, or profiler); the generated dispatchers
 // fall back to the general per-process functions otherwise, so observed
 // runs still emit every event the baseline does.
 package gobackend

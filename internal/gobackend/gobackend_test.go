@@ -92,7 +92,7 @@ func baselineRender(t *testing.T, src, name string, req *Request, feed map[strin
 		Engine:         esplang.EngineBaseline,
 	})
 	log := obs.NewEventLog()
-	m.SetTracer(log)
+	m.SetRecorder(log)
 	readers := map[string]*esplang.CollectReader{}
 	for chName := range req.Readers {
 		r := &esplang.CollectReader{Limit: req.Readers[chName]}
@@ -116,7 +116,8 @@ func baselineRender(t *testing.T, src, name string, req *Request, feed map[strin
 	for chName, r := range readers {
 		outs[chName] = r.Values
 	}
-	return renderAll(prog, res.String(), m.Fault(), m.Cycles, m.Stats, outs, eventSum(log.Events()))
+	log.Sync()
+	return renderAll(prog, res.String(), m.Fault(), m.Cycles, m.Stats, outs, eventSum(log.Snapshot(0)))
 }
 
 func compiledRender(t *testing.T, src, name string, req *Request) string {

@@ -2,9 +2,9 @@
 // harness appended after the emitted step functions. The harness
 // declares its own copies of the wire structs from run.go (the child
 // module can only import the public esplang package), rebuilds input
-// value trees children-first, replicates the fuzz oracle's
-// EventLog-and-FNV trace hash through a structural obs.Tracer
-// implementation, and answers one request line per invocation.
+// value trees children-first, computes the fuzz oracle's trace hash
+// over a full event recorder (esplang.NewEventLog), and answers one
+// request line per invocation.
 package gobackend
 
 const genHeader = `
@@ -13,7 +13,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"os"
 	"time"
@@ -92,34 +91,6 @@ type reply struct {
 	Error   string
 }
 
-// traceLog replicates the event stream digest the fuzz oracle computes
-// over an obs.EventLog: one tab-separated line per event (sequence,
-// timestamp, kind, proc, arg, name) folded into FNV-64a. It satisfies
-// the machine's Tracer interface structurally.
-type traceLog struct {
-	n uint64
-	h hash.Hash64
-}
-
-func (t *traceLog) add(ts int64, kind string, proc, arg int, name string) {
-	fmt.Fprintf(t.h, "%d\t%d\t%s\t%d\t%d\t%s\n", t.n, ts, kind, proc, arg, name)
-	t.n++
-}
-
-func (t *traceLog) ProcStart(ts int64, proc int, name string)  { t.add(ts, "start", proc, 0, name) }
-func (t *traceLog) ProcStop(ts int64, proc int, status string) { t.add(ts, "stop", proc, 0, status) }
-func (t *traceLog) Rendezvous(ts int64, ch string, sender, receiver int) {
-	t.add(ts, "rendezvous", sender, receiver, ch)
-}
-func (t *traceLog) Alloc(ts int64, proc int, live int)   { t.add(ts, "alloc", proc, live, "") }
-func (t *traceLog) Free(ts int64, proc int, live int)    { t.add(ts, "free", proc, live, "") }
-func (t *traceLog) Fault(ts int64, proc int, msg string) { t.add(ts, "fault", proc, 0, msg) }
-func (t *traceLog) Poll(ts int64, ch string)             { t.add(ts, "poll", -1, 0, ch) }
-
-func (t *traceLog) sum() string {
-	return fmt.Sprintf("%d events, fnv %x", t.n, t.h.Sum64())
-}
-
 // buildVal rebuilds one serialized value, children before parents —
 // the order the in-process harnesses construct nested inputs — so the
 // allocation charge and trace sequences match bit-for-bit.
@@ -166,10 +137,8 @@ func runOnce(prog *esplang.Program, req *request) (rep reply) {
 		rep.Error = err.Error()
 		return rep
 	}
-	var tl *traceLog
 	if req.Trace {
-		tl = &traceLog{h: fnv.New64a()}
-		m.SetTracer(tl)
+		m.SetRecorder(esplang.NewEventLog())
 	}
 	for name, items := range req.Writers {
 		q := new(esplang.QueueWriter)
@@ -209,8 +178,16 @@ func runOnce(prog *esplang.Program, req *request) (rep reply) {
 		}
 		rep.Outputs[name] = ws
 	}
-	if tl != nil {
-		rep.Trace = tl.sum()
+	if rec := m.Recorder(); rec != nil {
+		// The fuzz oracle's digest: one Event.String() line per event
+		// folded into FNV-64a.
+		rec.Sync()
+		evs := rec.Snapshot(0)
+		h := fnv.New64a()
+		for _, e := range evs {
+			fmt.Fprintln(h, e)
+		}
+		rep.Trace = fmt.Sprintf("%d events, fnv %x", len(evs), h.Sum64())
 	}
 	return rep
 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"esplang/internal/ir"
 	"esplang/internal/vm"
@@ -43,37 +44,55 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 	type edge struct {
 		to       int
 		progress bool
-		desc     string
+		c        vm.CommChoice
 	}
 	// States are kept only as their state vectors (the map key doubles as
 	// the stored state) and decoded into one scratch machine, so graph
-	// construction doesn't retain a full machine clone per state.
+	// construction doesn't retain a full machine clone per state. from
+	// and via record each state's discovery edge, so a fault's path from
+	// the initial state can be replayed.
 	var (
 		vecs  []string
 		idOf  = map[string]int{}
 		edges [][]edge
+		from  []int
+		via   []vm.CommChoice
 	)
 
 	m := newMachine(prog, opts)
 	m.Settle()
 	if f := m.Fault(); f != nil {
-		res.Violation = &Violation{Fault: f}
+		_, _, pm := replayTrace(prog, opts, nil)
+		res.Violation = &Violation{Fault: f, Postmortem: pm}
 		return res
 	}
 	vecs = append(vecs, string(m.EncodeState()))
 	idOf[vecs[0]] = 0
 	edges = append(edges, nil)
+	from = append(from, -1)
+	via = append(via, vm.CommChoice{})
 
 	for i := 0; i < len(vecs) && len(vecs) < opts.MaxStates; i++ {
 		vec := []byte(vecs[i])
 		m.DecodeState(vec)
 		for _, c := range m.EnabledComms() {
 			m.DecodeState(vec) // each firing starts from state i
-			desc := newStep(m, prog, c).Desc
 			m.FireComm(c)
 			res.Transitions++
 			if f := m.Fault(); f != nil {
-				res.Violation = &Violation{Fault: f}
+				// Report the replay's fault, trace and postmortem: the
+				// replay numbers heap objects as a run from the initial
+				// state does, which this decoded machine does not.
+				var choices []vm.CommChoice
+				for s := i; s > 0; s = from[s] {
+					choices = append(choices, via[s])
+				}
+				slices.Reverse(choices)
+				trace, rf, pm := replayTrace(prog, opts, append(choices, c))
+				if rf == nil {
+					rf = f
+				}
+				res.Violation = &Violation{Fault: rf, Trace: trace, Postmortem: pm}
 				res.States = len(vecs)
 				return res
 			}
@@ -84,8 +103,10 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 				vecs = append(vecs, string(key))
 				idOf[vecs[j]] = j
 				edges = append(edges, nil)
+				from = append(from, i)
+				via = append(via, c)
 			}
-			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], desc: desc})
+			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], c: c})
 		}
 	}
 	res.States = len(vecs)
@@ -97,13 +118,13 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 	// colors: 0 unvisited, 1 on stack, 2 done.
 	color := make([]uint8, len(vecs))
 	parent := make([]int, len(vecs))
-	parentEdge := make([]string, len(vecs))
+	parentEdge := make([]vm.CommChoice, len(vecs))
 	for i := range parent {
 		parent[i] = -1
 	}
 	var cycleAt = -1
 	var cycleTo = -1
-	var cycleDesc string
+	var cycleC vm.CommChoice
 
 	var stack []int
 	push := func(s int) { color[s] = 1; stack = append(stack, s) }
@@ -126,13 +147,13 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 				switch color[e.to] {
 				case 0:
 					parent[e.to] = s
-					parentEdge[e.to] = e.desc
+					parentEdge[e.to] = e.c
 					push(e.to)
 					advanced = true
 				case 1:
 					cycleAt = e.to
 					cycleTo = s
-					cycleDesc = e.desc
+					cycleC = e.c
 				}
 				if advanced || cycleAt >= 0 {
 					break
@@ -149,16 +170,21 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 	}
 
 	if cycleAt >= 0 {
-		// Reconstruct the cycle portion from the DFS parents.
+		// Reconstruct the cycle portion from the DFS parents; each step is
+		// built on its source state, so it carries the sender position.
+		step := func(s int, c vm.CommChoice) TraceStep {
+			m.DecodeState([]byte(vecs[s]))
+			return newStep(m, prog, c)
+		}
 		var steps []TraceStep
 		for s := cycleTo; s != cycleAt && s >= 0; s = parent[s] {
-			steps = append(steps, TraceStep{Desc: parentEdge[s]})
+			steps = append(steps, step(parent[s], parentEdge[s]))
 		}
 		// Reverse into forward order and close the loop.
-		for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-			steps[i], steps[j] = steps[j], steps[i]
-		}
-		steps = append(steps, TraceStep{Desc: cycleDesc + "  (closes the cycle)"})
+		slices.Reverse(steps)
+		closing := step(cycleTo, cycleC)
+		closing.Desc += "  (closes the cycle)"
+		steps = append(steps, closing)
 		res.Violation = &Violation{
 			Fault: &vm.Fault{Kind: vm.FaultAssert,
 				Msg: "non-progress cycle: the system can run forever without progress (starvation)"},

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	esplang "esplang"
 	"esplang/internal/mc"
+	"esplang/internal/vm"
+	"esplang/internal/vmmc"
 )
 
 // chatterSrc: two processes ping-pong forever on chatC while a worker
@@ -43,8 +46,11 @@ func TestNonProgressCycleFound(t *testing.T) {
 		t.Error("no cycle trace")
 	}
 	joined := ""
-	for _, s := range res.Violation.Trace {
+	for i, s := range res.Violation.Trace {
 		joined += s.Desc + "\n"
+		if !s.Pos.IsValid() || s.Choice.Sender == s.Choice.Receiver {
+			t.Errorf("cycle step %d is not a full step: %+v", i, s)
+		}
 	}
 	if !strings.Contains(joined, "chatC") && !strings.Contains(joined, "chatBackC") {
 		t.Errorf("cycle trace does not mention the chatter channels:\n%s", joined)
@@ -132,5 +138,43 @@ process q { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 	res := mc.CheckProgress(prog, []string{}, mc.Options{})
 	if res.Violation != nil {
 		t.Fatalf("terminating system reported a cycle: %v", res.Violation)
+	}
+}
+
+// TestProgressFaultCounterexample: a fault met while the progress check
+// builds its state graph is reported as the exhaustive search reports
+// one — with the counterexample path from the initial state and a
+// postmortem, and with the fault text of a run along that path (objects
+// numbered as a fresh machine numbers them, not as a decoded state
+// vector does).
+func TestProgressFaultCounterexample(t *testing.T) {
+	for _, bug := range []vmmc.MemBug{vmmc.BugLeak, vmmc.BugUseAfterFree, vmmc.BugDoubleFree} {
+		t.Run(bug.String(), func(t *testing.T) {
+			prog, err := esplang.Compile(vmmc.MemSafetyModel(bug), esplang.CompileOptions{Name: "memsafety", File: "memsafety.esp"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mc.CheckProgress(prog.IR, []string{"fwdC"}, mc.Options{MaxLiveObjects: 8, MaxStates: 4000})
+			v := res.Violation
+			if v == nil || v.Fault == nil {
+				t.Fatalf("seeded bug not found: %v", v)
+			}
+			if len(v.Trace) == 0 {
+				t.Fatal("fault reported without a counterexample trace")
+			}
+			if !strings.HasPrefix(v.Postmortem, "# esp flight recorder") {
+				t.Errorf("fault reported without a postmortem: %q", v.Postmortem)
+			}
+			m := prog.Machine(esplang.MachineConfig{Manual: true, MaxLiveObjects: 8})
+			m.Cost = vm.ZeroCostModel()
+			m.Settle()
+			choices := make([]vm.CommChoice, len(v.Trace))
+			for i, st := range v.Trace {
+				choices[i] = st.Choice
+			}
+			if f := m.ReplayComms(choices); f == nil || f.Error() != v.Fault.Error() {
+				t.Errorf("replaying the trace faults with %v, want %v", f, v.Fault)
+			}
+		})
 	}
 }

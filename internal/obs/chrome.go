@@ -14,9 +14,10 @@ import (
 // series; NIC DMA engines add hardware tracks through the SpanEmitter
 // methods.
 //
-// It implements both Tracer (VM events) and SpanEmitter (generic spans).
-// It is not safe for concurrent use; the VM and the sim kernel are
-// single-threaded, which is the only place it is installed.
+// VM events arrive as flight-recorder events (AddEvents); the simulated
+// NIC drives it live as a SpanEmitter. It is not safe for concurrent
+// use; the sim kernel is single-threaded, which is the only place it is
+// installed.
 type ChromeTracer struct {
 	// Scale converts clock timestamps to the format's microseconds
 	// (events are emitted at ts×Scale µs). Leave 1 for the VM cycle
@@ -68,64 +69,82 @@ func (t *ChromeTracer) ensureName(tid int64, name string) {
 		Args: map[string]any{"name": name}})
 }
 
-// --- Tracer (VM events) ---
-
-// ProcStart implements Tracer.
-func (t *ChromeTracer) ProcStart(ts int64, proc int, name string) {
-	tid := int64(proc)
-	t.ensureName(tid, name)
-	t.add(chromeEvent{Name: name, Ph: "B", Tid: tid, Ts: t.ts(ts)})
-}
-
-// ProcStop implements Tracer.
-func (t *ChromeTracer) ProcStop(ts int64, proc int, status string) {
-	t.add(chromeEvent{Ph: "E", Tid: int64(proc), Ts: t.ts(ts),
-		Args: map[string]any{"status": status}})
-}
-
-// Rendezvous implements Tracer.
-func (t *ChromeTracer) Rendezvous(ts int64, ch string, sender, receiver int) {
-	tid := int64(sender)
-	if sender < 0 {
-		tid = int64(receiver)
-	}
-	t.add(chromeEvent{Name: "rendezvous " + ch, Ph: "i", S: "t", Tid: tid, Ts: t.ts(ts),
-		Args: map[string]any{"chan": ch, "sender": sender, "receiver": receiver}})
-}
-
-// Alloc implements Tracer.
-func (t *ChromeTracer) Alloc(ts int64, proc int, live int) {
-	t.counterLive(ts, live)
-}
-
-// Free implements Tracer.
-func (t *ChromeTracer) Free(ts int64, proc int, live int) {
-	t.counterLive(ts, live)
-}
-
-func (t *ChromeTracer) counterLive(ts int64, live int) {
-	t.add(chromeEvent{Name: "heap live objects", Ph: "C", Ts: t.ts(ts),
-		Args: map[string]any{"live": live}})
-}
-
-// Fault implements Tracer.
-func (t *ChromeTracer) Fault(ts int64, proc int, msg string) {
-	tid := int64(proc)
-	if proc < 0 {
-		tid = runtimeTid
-	}
-	t.add(chromeEvent{Name: "FAULT", Ph: "i", S: "g", Tid: tid, Ts: t.ts(ts),
-		Args: map[string]any{"msg": msg}})
-}
+// --- VM events ---
 
 // runtimeTid is the track for events with no process context (the idle
 // loop's external polls, unattributed faults).
 const runtimeTid = 999
 
-// Poll implements Tracer.
-func (t *ChromeTracer) Poll(ts int64, ch string) {
-	t.ensureName(runtimeTid, "runtime (idle loop)")
-	t.add(chromeEvent{Name: "poll " + ch, Ph: "i", S: "t", Tid: runtimeTid, Ts: t.ts(ts)})
+// AddEvents renders recorded VM events (FlightRecorder.Snapshot) into
+// the trace: each process becomes a thread track of B/E spans;
+// rendezvous, faults and polls are instants; allocs and frees drive the
+// live-object counter. Process ids are shifted by trackOff and prefix is
+// prepended to process, channel and fault names, so several machines can
+// share one timeline. Spans cut by a snapshot window are repaired: a
+// stop whose start is not in evs opens at the window's first timestamp,
+// and a span still open at the end closes at the last one — so live
+// snapshots of a running machine still balance.
+func (t *ChromeTracer) AddEvents(evs []Event, trackOff int, prefix string) {
+	shift := func(proc int) int {
+		if proc < 0 {
+			return proc // -1 = external environment, not a track
+		}
+		return proc + trackOff
+	}
+	start := func(ts int64, tid int64, name string) {
+		t.ensureName(tid, name)
+		t.Begin(tid, name, ts)
+	}
+	stop := func(ts int64, tid int64, status string) {
+		t.add(chromeEvent{Ph: "E", Tid: tid, Ts: t.ts(ts),
+			Args: map[string]any{"status": status}})
+	}
+	depth := map[int64]int{}
+	for _, e := range evs {
+		proc := shift(e.Proc)
+		tid := int64(proc)
+		switch e.Kind {
+		case EvProcStart:
+			start(e.Ts, tid, prefix+e.Name)
+			depth[tid]++
+		case EvProcStop:
+			if depth[tid] == 0 {
+				// The matching start is outside the window; open the span
+				// at the window boundary so B/E still balance.
+				start(evs[0].Ts, tid, fmt.Sprintf("%sproc%d", prefix, e.Proc))
+				depth[tid]++
+			}
+			stop(e.Ts, tid, e.Name)
+			depth[tid]--
+		case EvRendezvous:
+			ch, receiver := prefix+e.Name, shift(e.Arg)
+			if proc < 0 {
+				tid = int64(receiver)
+			}
+			t.add(chromeEvent{Name: "rendezvous " + ch, Ph: "i", S: "t", Tid: tid, Ts: t.ts(e.Ts),
+				Args: map[string]any{"chan": ch, "sender": proc, "receiver": receiver}})
+		case EvAlloc, EvFree:
+			t.add(chromeEvent{Name: "heap live objects", Ph: "C", Ts: t.ts(e.Ts),
+				Args: map[string]any{"live": e.Arg}})
+		case EvFault:
+			if proc < 0 {
+				tid = runtimeTid
+			}
+			t.add(chromeEvent{Name: "FAULT", Ph: "i", S: "g", Tid: tid, Ts: t.ts(e.Ts),
+				Args: map[string]any{"msg": prefix + e.Name}})
+		case EvPoll:
+			t.ensureName(runtimeTid, "runtime (idle loop)")
+			t.add(chromeEvent{Name: "poll " + prefix + e.Name, Ph: "i", S: "t", Tid: runtimeTid, Ts: t.ts(e.Ts)})
+		}
+	}
+	if n := len(evs); n > 0 {
+		end := evs[n-1].Ts
+		for tid, d := range depth {
+			for ; d > 0; d-- {
+				stop(end, tid, "(snapshot)")
+			}
+		}
+	}
 }
 
 // --- SpanEmitter (hardware / generic tracks) ---

@@ -17,15 +17,17 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // Regenerate with: go test ./internal/obs -run Golden -update
 func TestChromeTraceGolden(t *testing.T) {
 	tr := NewChromeTracer(1)
-	tr.ProcStart(10, 0, "producer")
-	tr.Rendezvous(14, "c", 0, 1)
-	tr.Alloc(16, 0, 1)
-	tr.ProcStop(20, 0, "blocked(send)")
-	tr.ProcStart(20, 1, "consumer")
-	tr.Free(24, 1, 0)
-	tr.Poll(26, "inC")
-	tr.Fault(28, 1, "assertion failed")
-	tr.ProcStop(30, 1, "faulted")
+	tr.AddEvents([]Event{
+		{Ts: 10, Kind: EvProcStart, Proc: 0, Name: "producer"},
+		{Ts: 14, Kind: EvRendezvous, Proc: 0, Arg: 1, Name: "c"},
+		{Ts: 16, Kind: EvAlloc, Proc: 0, Arg: 1},
+		{Ts: 20, Kind: EvProcStop, Proc: 0, Name: "blocked(send)"},
+		{Ts: 20, Kind: EvProcStart, Proc: 1, Name: "consumer"},
+		{Ts: 24, Kind: EvFree, Proc: 1, Arg: 0},
+		{Ts: 26, Kind: EvPoll, Proc: -1, Name: "inC"},
+		{Ts: 28, Kind: EvFault, Proc: 1, Name: "assertion failed"},
+		{Ts: 30, Kind: EvProcStop, Proc: 1, Name: "faulted"},
+	}, 0, "")
 	tr.SetTrackName(100, "nic0 hostDMA")
 	tr.Begin(100, "hostDMA 4096B", 12)
 	tr.Instant(100, "lead 64B ready", 18)

@@ -9,15 +9,17 @@ import (
 
 func TestChromeTracerWritesValidTrace(t *testing.T) {
 	tr := NewChromeTracer(1)
-	tr.ProcStart(0, 0, "producer")
-	tr.Rendezvous(3, "c", 0, 1)
-	tr.Alloc(4, 0, 2)
-	tr.ProcStop(10, 0, "blocked")
-	tr.ProcStart(10, 1, "consumer")
-	tr.Free(12, 1, 1)
-	tr.ProcStop(20, 1, "halted")
-	tr.Poll(25, "inC")
-	tr.Fault(30, 1, "nil deref")
+	tr.AddEvents([]Event{
+		{Ts: 0, Kind: EvProcStart, Proc: 0, Name: "producer"},
+		{Ts: 3, Kind: EvRendezvous, Proc: 0, Arg: 1, Name: "c"},
+		{Ts: 4, Kind: EvAlloc, Proc: 0, Arg: 2},
+		{Ts: 10, Kind: EvProcStop, Proc: 0, Name: "blocked"},
+		{Ts: 10, Kind: EvProcStart, Proc: 1, Name: "consumer"},
+		{Ts: 12, Kind: EvFree, Proc: 1, Arg: 1},
+		{Ts: 20, Kind: EvProcStop, Proc: 1, Name: "halted"},
+		{Ts: 25, Kind: EvPoll, Proc: -1, Name: "inC"},
+		{Ts: 30, Kind: EvFault, Proc: 1, Name: "nil deref"},
+	}, 0, "")
 	tr.SetTrackName(100, "nic0 hostDMA")
 	tr.Begin(100, "dma 64B", 30)
 	tr.Instant(100, "pkt arrive", 40)
@@ -48,8 +50,10 @@ func TestChromeTracerWritesValidTrace(t *testing.T) {
 
 func TestChromeTracerScale(t *testing.T) {
 	tr := NewChromeTracer(0.001) // ns clock → µs timestamps
-	tr.ProcStart(2500, 0, "p")
-	tr.ProcStop(4500, 0, "halted")
+	tr.AddEvents([]Event{
+		{Ts: 2500, Kind: EvProcStart, Proc: 0, Name: "p"},
+		{Ts: 4500, Kind: EvProcStop, Proc: 0, Name: "halted"},
+	}, 0, "")
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// EventKind classifies one recorded execution event — exactly the seven
-// Tracer callbacks, so a flight recorder can stand in for any tracer.
+// EventKind classifies one recorded execution event — one kind per VM
+// event site.
 type EventKind uint8
 
 // Recorded event kinds.
@@ -114,13 +114,15 @@ func NK(k EventKind, name uint32) uint64 {
 	return uint64(k)<<32 | uint64(name)
 }
 
-// FlightRecorder is a fixed-size ring buffer of execution events,
-// implementing Tracer. Unlike ChromeTracer it never grows: the ring and
-// staging buffer are allocated once, every record overwrites the oldest
-// slot, and recording allocates nothing — cheap enough to leave
+// FlightRecorder is the VM's event sink: a ring buffer of execution
+// events. A bounded recorder (NewFlightRecorder) never grows: the ring
+// and staging buffer are allocated once, every record overwrites the
+// oldest slot, and recording allocates nothing — cheap enough to leave
 // attached to a production machine so that when a fault finally
 // happens, the last events leading up to it are already in hand
-// (WriteDump / WriteChrome).
+// (WriteDump / WriteChrome). A full recorder (NewEventLog) grows its
+// ring instead of overwriting, keeping the whole stream for Chrome
+// traces and whole-stream comparisons.
 //
 // The recorder is single-writer, multi-reader: one goroutine records
 // (the VM), while any number of goroutines snapshot (Snapshot, Dump,
@@ -128,15 +130,13 @@ func NK(k EventKind, name uint32) uint64 {
 // writer-local staging buffer and flush to the mutex-guarded ring every
 // stageSize events, so concurrent snapshots may lag the writer by up to
 // stageSize events. The writer calls Sync (Machine.Postmortem does) to
-// publish the tail before reading its own dump.
+// publish the tail before reading its own events.
 //
 // Event names (channel names, process names, fault messages) are
-// interned: Intern maps a string to a stable uint32 once, and the
-// ...ID record methods take the ID, keeping strings — and their GC
-// write barriers — out of the hot path entirely. The VM interns every
-// name it can emit at SetRecorder time. The string-taking Tracer
-// methods intern on each call (one map hit) and remain allocation-free
-// for already-seen names.
+// interned: Intern maps a string to a stable uint32 once, and Record
+// takes the ID, keeping strings — and their GC write barriers — out of
+// the hot path entirely. The VM interns every name it can emit at
+// SetRecorder time.
 type FlightRecorder struct {
 	// Writer-local state: owned by the recording goroutine, untouched
 	// by snapshots. seq is the next event's global sequence number (its
@@ -152,6 +152,7 @@ type FlightRecorder struct {
 	ring  []rawEvent // power-of-two length; guarded by mu
 	total uint64     // events flushed into the ring; guarded by mu
 	names []string   // id → name; appended by Intern, read by snapshots
+	full  bool       // grow the ring in Sync instead of overwriting
 }
 
 // NewFlightRecorder returns a recorder with the given ring capacity,
@@ -171,6 +172,18 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	}
 }
 
+// NewEventLog returns a full recorder: Record is unchanged, but Sync
+// grows the ring instead of overwriting, so Snapshot(0) after Sync
+// returns every event since the start, numbered from 0. Dropped is
+// always 0. This is the sink for Chrome traces and for harnesses (the
+// differential fuzzer, the compiled engine) that compare whole event
+// streams.
+func NewEventLog() *FlightRecorder {
+	r := NewFlightRecorder(DefaultRingSize)
+	r.full = true
+	return r
+}
+
 // Intern returns the stable ID for name, assigning one on first use.
 // Like recording itself, only the recording goroutine may call it.
 func (r *FlightRecorder) Intern(name string) uint32 {
@@ -185,9 +198,6 @@ func (r *FlightRecorder) Intern(name string) uint32 {
 	return id
 }
 
-// record appends one event to the staging buffer, flushing to the ring
-// first when it is full. No allocation, no pointer stores: the rawEvent
-// is built in place.
 // Record appends one event, with proc/arg packed by PA and kind/name
 // packed by NK. This is the recorder's hot path, kept small enough for
 // the compiler to inline into the VM's trace sites: the steady-state
@@ -218,12 +228,23 @@ func (r *FlightRecorder) Sync() {
 	first := r.flushed
 	lo := int(first & (stageSize - 1))
 	src := r.stage[lo : lo+int(s-first)]
+	r.mu.Lock()
+	if r.full && s > uint64(len(r.ring)) {
+		// Nothing was ever dropped, so event seq sits at index seq and
+		// the old ring is a prefix of the grown one.
+		n := len(r.ring)
+		for uint64(n) < s {
+			n <<= 1
+		}
+		ring := make([]rawEvent, n)
+		copy(ring, r.ring)
+		r.ring = ring
+	}
 	if len(src) > len(r.ring) {
 		// Stage bigger than the whole ring: only the tail survives.
 		first += uint64(len(src) - len(r.ring))
 		src = src[len(src)-len(r.ring):]
 	}
-	r.mu.Lock()
 	// Consecutive sequence numbers land in consecutive ring slots, so
 	// the flush is at most two contiguous copies (one wrap).
 	i := int(first & uint64(len(r.ring)-1))
@@ -234,29 +255,11 @@ func (r *FlightRecorder) Sync() {
 	r.flushed = s
 }
 
-// FlightRecorder implements Tracer. These string-taking methods intern
-// on every call (one map hit for an already-seen name); the VM bypasses
-// them and calls Record with IDs it interned at SetRecorder time.
-func (r *FlightRecorder) ProcStart(ts int64, proc int, name string) {
-	r.Record(ts, PA(int32(proc), 0), NK(EvProcStart, r.Intern(name)))
-}
-func (r *FlightRecorder) ProcStop(ts int64, proc int, status string) {
-	r.Record(ts, PA(int32(proc), 0), NK(EvProcStop, r.Intern(status)))
-}
-func (r *FlightRecorder) Rendezvous(ts int64, ch string, sender, receiver int) {
-	r.Record(ts, PA(int32(sender), int32(receiver)), NK(EvRendezvous, r.Intern(ch)))
-}
-func (r *FlightRecorder) Alloc(ts int64, proc int, live int) {
-	r.Record(ts, PA(int32(proc), int32(live)), NK(EvAlloc, 0))
-}
-func (r *FlightRecorder) Free(ts int64, proc int, live int) {
-	r.Record(ts, PA(int32(proc), int32(live)), NK(EvFree, 0))
-}
+// Fault records a fault event, interning msg on the call: fault
+// messages are not known ahead of time, and a machine faults at most
+// once.
 func (r *FlightRecorder) Fault(ts int64, proc int, msg string) {
 	r.Record(ts, PA(int32(proc), 0), NK(EvFault, r.Intern(msg)))
-}
-func (r *FlightRecorder) Poll(ts int64, ch string) {
-	r.Record(ts, PA(-1, 0), NK(EvPoll, r.Intern(ch)))
 }
 
 // Total returns the number of events ever recorded.
@@ -267,7 +270,7 @@ func (r *FlightRecorder) Total() uint64 {
 }
 
 // Dropped returns how many events have been overwritten by ring
-// wraparound.
+// wraparound (always 0 for a full recorder).
 func (r *FlightRecorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -281,8 +284,12 @@ func (r *FlightRecorder) dropped() uint64 {
 	return 0
 }
 
-// RingSize returns the ring capacity.
-func (r *FlightRecorder) RingSize() int { return len(r.ring) }
+// RingSize returns the ring capacity (a full recorder's grows).
+func (r *FlightRecorder) RingSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.ring)
+}
 
 // Snapshot copies out the last `last` retained events in order (all
 // retained events when last <= 0). Safe to call while the machine is
@@ -395,88 +402,14 @@ func (r *FlightRecorder) WriteDump(w io.Writer, last int) error {
 }
 
 // WriteChrome renders the last `last` retained events (all when last <= 0)
-// as Chrome trace-event JSON, the same format ChromeTracer writes and
-// obscheck -trace validates. Spans cut by the ring window are repaired:
-// a stop whose start was overwritten gets a synthetic start at the
-// window's first timestamp, and a span still open at the window's end is
-// closed at the last timestamp — so live snapshots from a running
-// machine still balance.
+// as Chrome trace-event JSON, the same format obscheck -trace validates.
+// Spans cut by the window are repaired (ChromeTracer.AddEvents), so live
+// snapshots from a running machine still balance.
 func (r *FlightRecorder) WriteChrome(w io.Writer, last int) error {
-	evs := r.Snapshot(last)
 	tr := NewChromeTracer(1)
-	depth := map[int]int{}
-	for _, e := range evs {
-		switch e.Kind {
-		case EvProcStart:
-			tr.ProcStart(e.Ts, e.Proc, e.Name)
-			depth[e.Proc]++
-		case EvProcStop:
-			if depth[e.Proc] == 0 {
-				// The matching start fell off the ring; open the span at
-				// the window boundary so B/E still balance.
-				tr.ProcStart(evs[0].Ts, e.Proc, fmt.Sprintf("proc%d", e.Proc))
-				depth[e.Proc]++
-			}
-			tr.ProcStop(e.Ts, e.Proc, e.Name)
-			depth[e.Proc]--
-		case EvRendezvous:
-			tr.Rendezvous(e.Ts, e.Name, e.Proc, e.Arg)
-		case EvAlloc:
-			tr.Alloc(e.Ts, e.Proc, e.Arg)
-		case EvFree:
-			tr.Free(e.Ts, e.Proc, e.Arg)
-		case EvFault:
-			tr.Fault(e.Ts, e.Proc, e.Name)
-		case EvPoll:
-			tr.Poll(e.Ts, e.Name)
-		}
-	}
-	if n := len(evs); n > 0 {
-		end := evs[n-1].Ts
-		for proc, d := range depth {
-			for ; d > 0; d-- {
-				tr.ProcStop(end, proc, "(snapshot)")
-			}
-		}
-	}
+	tr.AddEvents(r.Snapshot(last), 0, "")
 	return tr.Write(w)
 }
-
-// EventLog is an unbounded Tracer that retains every event — the offline
-// sibling of FlightRecorder, for harnesses (the differential fuzzer)
-// that compare whole event streams with DiffTraces. Not safe for
-// concurrent use, like ChromeTracer.
-type EventLog struct {
-	events []Event
-}
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
-
-func (l *EventLog) add(ts int64, k EventKind, proc, arg int, name string) {
-	l.events = append(l.events, Event{Seq: uint64(len(l.events)), Ts: ts, Kind: k, Proc: proc, Arg: arg, Name: name})
-}
-
-// EventLog implements Tracer.
-func (l *EventLog) ProcStart(ts int64, proc int, name string) { l.add(ts, EvProcStart, proc, 0, name) }
-func (l *EventLog) ProcStop(ts int64, proc int, status string) {
-	l.add(ts, EvProcStop, proc, 0, status)
-}
-func (l *EventLog) Rendezvous(ts int64, ch string, sender, receiver int) {
-	l.add(ts, EvRendezvous, sender, receiver, ch)
-}
-func (l *EventLog) Alloc(ts int64, proc int, live int) { l.add(ts, EvAlloc, proc, live, "") }
-func (l *EventLog) Free(ts int64, proc int, live int)  { l.add(ts, EvFree, proc, live, "") }
-func (l *EventLog) Fault(ts int64, proc int, msg string) {
-	l.add(ts, EvFault, proc, 0, msg)
-}
-func (l *EventLog) Poll(ts int64, ch string) { l.add(ts, EvPoll, -1, 0, ch) }
-
-// Events returns the recorded stream (not a copy).
-func (l *EventLog) Events() []Event { return l.events }
-
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int { return len(l.events) }
 
 // ValidatePostmortem parses data as a WriteDump flight-recorder dump and
 // checks its structural invariants:

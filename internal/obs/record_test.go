@@ -8,19 +8,25 @@ import (
 	"testing"
 )
 
+// put records one event the way the VM does: name interned, proc/arg
+// and kind/name packed into Record's words.
+func put(r *FlightRecorder, ts int64, k EventKind, proc, arg int, name string) {
+	r.Record(ts, PA(int32(proc), int32(arg)), NK(k, r.Intern(name)))
+}
+
 // fill records n synthetic events shaped like a real run — a process
 // start, alternating rendezvous/allocs, and a matching stop — and
 // publishes them (the writer-side Sync a Machine.Postmortem performs).
 func fill(r *FlightRecorder, n int) {
-	r.ProcStart(0, 0, "p")
+	put(r, 0, EvProcStart, 0, 0, "p")
 	for i := 1; i < n-1; i++ {
 		if i%2 == 0 {
-			r.Rendezvous(int64(i), "c", 0, 1)
+			put(r, int64(i), EvRendezvous, 0, 1, "c")
 		} else {
-			r.Alloc(int64(i), 0, i)
+			put(r, int64(i), EvAlloc, 0, i, "")
 		}
 	}
-	r.ProcStop(int64(n-1), 0, "done")
+	put(r, int64(n-1), EvProcStop, 0, 0, "done")
 	r.Sync()
 }
 
@@ -30,7 +36,7 @@ func TestRecorderWraparound(t *testing.T) {
 		t.Fatalf("RingSize = %d, want 8", r.RingSize())
 	}
 	for i := 0; i < 100; i++ {
-		r.Poll(int64(i), "ext")
+		put(r, int64(i), EvPoll, -1, 0, "ext")
 	}
 	r.Sync()
 	if r.Total() != 100 {
@@ -151,7 +157,7 @@ func TestValidatePostmortemRejectsCorruption(t *testing.T) {
 func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 	// A start with no stop by the end of the dump is an unclosed span.
 	r := NewFlightRecorder(0)
-	r.ProcStart(0, 0, "p")
+	put(r, 0, EvProcStart, 0, 0, "p")
 	r.Sync()
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -164,7 +170,7 @@ func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 	// A stop without a start is only legal when the ring dropped events;
 	// with dropped=0 it must be rejected.
 	r = NewFlightRecorder(0)
-	r.ProcStop(0, 0, "done")
+	put(r, 0, EvProcStop, 0, 0, "done")
 	r.Sync()
 	buf.Reset()
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -176,10 +182,10 @@ func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 
 	// Double start without an intervening stop.
 	r = NewFlightRecorder(0)
-	r.ProcStart(0, 0, "p")
-	r.ProcStart(1, 0, "p")
-	r.ProcStop(2, 0, "done")
-	r.ProcStop(3, 0, "done")
+	put(r, 0, EvProcStart, 0, 0, "p")
+	put(r, 1, EvProcStart, 0, 0, "p")
+	put(r, 2, EvProcStop, 0, 0, "done")
+	put(r, 3, EvProcStop, 0, 0, "done")
 	r.Sync()
 	buf.Reset()
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -223,11 +229,11 @@ func TestRecorderWriteChromeBalances(t *testing.T) {
 	// A window that opens mid-run (wrapped ring) has stops without starts
 	// and starts without stops; the Chrome rendering must still balance.
 	r := NewFlightRecorder(4)
-	r.ProcStart(0, 0, "a")
-	r.Rendezvous(1, "c", 0, 1)
-	r.ProcStop(2, 0, "done")   // start falls out of the window below
-	r.ProcStart(3, 1, "b")     // never stopped
-	r.Rendezvous(4, "c", 1, 0) // keeps the window busy
+	put(r, 0, EvProcStart, 0, 0, "a")
+	put(r, 1, EvRendezvous, 0, 1, "c")
+	put(r, 2, EvProcStop, 0, 0, "done") // start falls out of the window below
+	put(r, 3, EvProcStart, 1, 0, "b")   // never stopped
+	put(r, 4, EvRendezvous, 1, 0, "c")  // keeps the window busy
 	r.Sync()
 	var buf bytes.Buffer
 	if err := r.WriteChrome(&buf, 3); err != nil {
@@ -251,7 +257,7 @@ func TestRecorderConcurrentRecording(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			r.Rendezvous(int64(i), "c", 0, 1)
+			put(r, int64(i), EvRendezvous, 0, 1, "c")
 		}
 		r.Sync() // writer-side publish, like Machine.Postmortem
 	}()
@@ -272,35 +278,54 @@ func TestRecorderZeroAllocSteadyState(t *testing.T) {
 	r := NewFlightRecorder(32)
 	// Warm up so every Name string the ring retains is already in place.
 	for i := 0; i < 64; i++ {
-		r.Rendezvous(int64(i), "chan", 0, 1)
+		put(r, int64(i), EvRendezvous, 0, 1, "chan")
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		r.Rendezvous(1, "chan", 0, 1)
-		r.Alloc(2, 0, 3)
-		r.Free(3, 0, 2)
+		put(r, 1, EvRendezvous, 0, 1, "chan")
+		put(r, 2, EvAlloc, 0, 3, "")
+		put(r, 3, EvFree, 0, 2, "")
 	})
 	if avg != 0 {
 		t.Errorf("steady-state recording allocates %.2f objects/op, want 0", avg)
 	}
 }
 
+// TestEventLogRecordsEverything: a full recorder keeps every event —
+// well past the staging buffer and the default ring — numbered
+// consecutively from 0, and drops nothing.
 func TestEventLogRecordsEverything(t *testing.T) {
 	l := NewEventLog()
-	l.ProcStart(0, 0, "p")
-	l.Rendezvous(1, "c", 0, 1)
-	l.Fault(2, 0, "x")
-	l.ProcStop(3, 0, "fault")
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", l.Len())
+	const n = stageSize + DefaultRingSize + 37
+	put(l, 0, EvProcStart, 0, 0, "p")
+	for i := 1; i < n-2; i++ {
+		put(l, int64(i), EvRendezvous, 0, 1, "c")
 	}
-	evs := l.Events()
-	for i, want := range []EventKind{EvProcStart, EvRendezvous, EvFault, EvProcStop} {
+	l.Fault(n-2, 0, "x")
+	put(l, n-1, EvProcStop, 0, 0, "faulted")
+	l.Sync()
+	if l.Total() != n || l.Dropped() != 0 {
+		t.Fatalf("Total = %d, Dropped = %d; want %d, 0", l.Total(), l.Dropped(), n)
+	}
+	evs := l.Snapshot(0)
+	if len(evs) != n {
+		t.Fatalf("Snapshot returned %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i) || e.Ts != int64(i) {
+			t.Fatalf("event %d = seq %d ts %d, want seq and ts %d", i, e.Seq, e.Ts, i)
+		}
+	}
+	for i, want := range map[int]EventKind{0: EvProcStart, 1: EvRendezvous, n - 2: EvFault, n - 1: EvProcStop} {
 		if evs[i].Kind != want {
 			t.Errorf("event %d kind = %v, want %v", i, evs[i].Kind, want)
 		}
-		if evs[i].Seq != uint64(i) {
-			t.Errorf("event %d seq = %d, want %d", i, evs[i].Seq, i)
-		}
+	}
+	var buf bytes.Buffer
+	if err := l.WriteDump(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ValidatePostmortem(buf.Bytes()); err != nil || got != n {
+		t.Errorf("full dump: %d events, err %v; want %d", got, err, n)
 	}
 }
 

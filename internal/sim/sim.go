@@ -42,31 +42,17 @@ func New() *Kernel {
 // Now returns the current simulation time in nanoseconds.
 func (k *Kernel) Now() int64 { return k.now }
 
-// Handler is the closure-free face of event scheduling: a simulated
-// device implements Fire and schedules itself with AtEvent, dispatching
-// on the arg it passed. The NIC model fires thousands of events per
-// benchmarked operation; handler events make each one allocation-free
-// where a fresh closure per schedule dominated allocation profiles.
+// Handler is the face of event scheduling: a simulated device implements
+// Fire and schedules itself with AtEvent, dispatching on the arg it
+// passed. The NIC model fires thousands of events per benchmarked
+// operation; handler events make each one allocation-free where a fresh
+// closure per schedule dominated allocation profiles.
 type Handler interface {
 	Fire(arg int)
 }
 
-// At schedules fn at absolute time t (clamped to now).
-func (k *Kernel) At(t int64, fn func()) {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	k.pq.push(event{time: t, seq: k.seq, fn: fn})
-}
-
-// After schedules fn d nanoseconds from now.
-func (k *Kernel) After(d int64, fn func()) {
-	k.At(k.now+d, fn)
-}
-
 // AtEvent schedules h.Fire(arg) at absolute time t (clamped to now).
-// Interleaves deterministically with At closures in schedule order.
+// Events at equal times fire in schedule order.
 func (k *Kernel) AtEvent(t int64, h Handler, arg int) {
 	if t < k.now {
 		t = k.now
@@ -91,11 +77,7 @@ func (k *Kernel) Step() bool {
 		k.mEvents.Inc()
 		k.hPending.Observe(int64(len(k.pq)))
 	}
-	if ev.h != nil {
-		ev.h.Fire(ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.h.Fire(ev.arg)
 	return true
 }
 
@@ -133,8 +115,7 @@ func (k *Kernel) Pending() int { return len(k.pq) }
 type event struct {
 	time int64
 	seq  int64
-	fn   func()  // closure event (At/After); nil for handler events
-	h    Handler // handler event (AtEvent/AfterEvent); nil for closures
+	h    Handler
 	arg  int
 }
 
@@ -170,7 +151,7 @@ func (q *eventQueue) pop() event {
 	n := len(h) - 1
 	ev := h[0]
 	h[0] = h[n]
-	h[n] = event{} // drop the fn/handler references
+	h[n] = event{} // drop the handler reference
 	*q = h[:n]
 	h = h[:n]
 	for i := 0; ; {

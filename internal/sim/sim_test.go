@@ -5,12 +5,36 @@ import (
 	"testing/quick"
 )
 
+// script is a kernel with a test Handler: Fire(i) runs the i-th function
+// scheduled through at/after, so each test reads as a list of timed
+// actions.
+type script struct {
+	*Kernel
+	fns []func()
+}
+
+func newScript() *script { return &script{Kernel: New()} }
+
+func (s *script) Fire(arg int) { s.fns[arg]() }
+
+// at schedules fn at absolute time t through AtEvent.
+func (s *script) at(t int64, fn func()) {
+	s.fns = append(s.fns, fn)
+	s.AtEvent(t, s, len(s.fns)-1)
+}
+
+// after schedules fn d nanoseconds from now through AfterEvent.
+func (s *script) after(d int64, fn func()) {
+	s.fns = append(s.fns, fn)
+	s.AfterEvent(d, s, len(s.fns)-1)
+}
+
 func TestEventOrdering(t *testing.T) {
-	k := New()
+	k := newScript()
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.at(30, func() { order = append(order, 3) })
+	k.at(10, func() { order = append(order, 1) })
+	k.at(20, func() { order = append(order, 2) })
 	k.Run(nil)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -21,11 +45,11 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestEqualTimesFIFO(t *testing.T) {
-	k := New()
+	k := newScript()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.at(5, func() { order = append(order, i) })
 	}
 	k.Run(nil)
 	for i, v := range order {
@@ -36,11 +60,11 @@ func TestEqualTimesFIFO(t *testing.T) {
 }
 
 func TestAfterAndNesting(t *testing.T) {
-	k := New()
+	k := newScript()
 	var times []int64
-	k.After(10, func() {
+	k.after(10, func() {
 		times = append(times, k.Now())
-		k.After(5, func() {
+		k.after(5, func() {
 			times = append(times, k.Now())
 		})
 	})
@@ -51,9 +75,9 @@ func TestAfterAndNesting(t *testing.T) {
 }
 
 func TestPastEventsClampToNow(t *testing.T) {
-	k := New()
-	k.At(100, func() {
-		k.At(50, func() {
+	k := newScript()
+	k.at(100, func() {
+		k.at(50, func() {
 			if k.Now() != 100 {
 				t.Errorf("past event fired at %d", k.Now())
 			}
@@ -63,11 +87,11 @@ func TestPastEventsClampToNow(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	k := New()
+	k := newScript()
 	fired := 0
-	k.At(10, func() { fired++ })
-	k.At(20, func() { fired++ })
-	k.At(30, func() { fired++ })
+	k.at(10, func() { fired++ })
+	k.at(20, func() { fired++ })
+	k.at(30, func() { fired++ })
 	n := k.RunUntil(20)
 	if n != 2 || fired != 2 {
 		t.Errorf("fired %d events (returned %d), want 2", fired, n)
@@ -81,10 +105,10 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunStopPredicate(t *testing.T) {
-	k := New()
+	k := newScript()
 	fired := 0
 	for i := int64(1); i <= 10; i++ {
-		k.At(i, func() { fired++ })
+		k.at(i, func() { fired++ })
 	}
 	k.Run(func() bool { return fired >= 3 })
 	if fired != 3 {
@@ -93,7 +117,7 @@ func TestRunStopPredicate(t *testing.T) {
 }
 
 func TestStepEmpty(t *testing.T) {
-	k := New()
+	k := newScript()
 	if k.Step() {
 		t.Error("Step on empty queue returned true")
 	}
@@ -103,11 +127,11 @@ func TestMonotonicClockProperty(t *testing.T) {
 	// Property: however events are scheduled, the clock never goes
 	// backwards while running them.
 	f := func(delays []uint16) bool {
-		k := New()
+		k := newScript()
 		last := int64(-1)
 		ok := true
 		for _, d := range delays {
-			k.At(int64(d), func() {
+			k.at(int64(d), func() {
 				if k.Now() < last {
 					ok = false
 				}

@@ -436,8 +436,8 @@ func (m *Machine) CGRecvDirScalar(p *ProcInst, chanID, portIdx, resumePC, partne
 	return false
 }
 
-// CGQuiet reports that no per-event observer is attached — no tracer, no
-// flight recorder, no metrics sink, no profiler, and no wait-queue
+// CGQuiet reports that no per-event observer is attached — no flight
+// recorder, no metrics sink, no profiler, and no wait-queue
 // accounting. The generated fused fast path (two statically-paired
 // processes compiled into one function with inline rendezvous and
 // deferred context switches) only runs on a quiet machine; with any
@@ -445,7 +445,7 @@ func (m *Machine) CGRecvDirScalar(p *ProcInst, chanID, portIdx, resumePC, partne
 // per-process step functions, whose bridge calls emit every event the
 // baseline does.
 func (m *Machine) CGQuiet() bool {
-	return m.tracer == nil && m.rec == nil && m.mCtx == nil && m.prof == nil &&
+	return m.rec == nil && m.mCtx == nil && m.prof == nil &&
 		!m.Config.UseWaitQueues
 }
 
@@ -460,7 +460,7 @@ func (m *Machine) CGQuiet() bool {
 // the scheduler instead: a fault is pending, r is not ready, or the
 // cycle budget is exhausted. The caller only invokes it on a quiet
 // machine (CGQuiet), so the profiler line attribution and the
-// tracer/recorder/metrics branches of RunReady are all no-ops here.
+// recorder/metrics branches of RunReady are all no-ops here.
 func (m *Machine) CGXfer(r *ProcInst) bool {
 	if m.flt != nil || r.Status != PReady {
 		return false

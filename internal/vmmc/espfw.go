@@ -39,7 +39,7 @@ const maxLiveObjects = 512
 var Engine = vm.EngineFused
 
 // Metrics, when non-nil, is attached to every cluster NewCluster builds
-// (sim-kernel and firmware-VM instruments, no tracer or profiler). The
+// (sim-kernel and firmware-VM instruments, no recorder or profiler). The
 // benchmark drivers construct fresh clusters per iteration deep inside
 // their loops, so a package hook — like Engine above — is how a
 // long-running campaign (vmmcbench -telemetry) aggregates them all into
@@ -109,17 +109,17 @@ func (f *ESPFirmware) Name() string { return "vmmcESP" }
 // Machine exposes the underlying VM (stats, fault inspection).
 func (f *ESPFirmware) Machine() *vm.Machine { return f.m }
 
-// AttachObs wires the VM's observability hooks to this firmware: tr
-// receives one timeline track per ESP process, prof attributes cycle
-// charges to ESP source lines, and reg collects the VM counters. The
-// VM's trace clock is anchored to the NIC's simulated nanosecond time
-// (see runStartNs), so VM process spans line up with the hardware spans
-// on the same timeline. Pass nils to detach.
-func (f *ESPFirmware) AttachObs(tr obs.Tracer, prof *obs.Profiler, reg *obs.Metrics) {
-	f.m.SetTracer(tr)
+// AttachObs wires the VM's observability hooks to this firmware: rec
+// records every VM event, prof attributes cycle charges to ESP source
+// lines, and reg collects the VM counters. The VM's event clock is
+// anchored to the NIC's simulated nanosecond time (see runStartNs), so
+// recorded process spans line up with the hardware spans on the same
+// timeline. Pass nils to detach.
+func (f *ESPFirmware) AttachObs(rec *obs.FlightRecorder, prof *obs.Profiler, reg *obs.Metrics) {
+	f.m.SetRecorder(rec)
 	f.m.SetProfiler(prof)
 	f.m.SetMetrics(reg)
-	if tr == nil && prof == nil {
+	if rec == nil && prof == nil {
 		f.m.SetClock(nil)
 		return
 	}

@@ -108,41 +108,10 @@ func (c *Cluster) Run(maxNs int64) {
 // i > 0, and equal to the raw process ids for NIC 0.
 const procTrackStride = 1000
 
-// fwTracer adapts a shared obs.Tracer for one firmware VM: process ids
-// are offset and track names prefixed so the two machines of a cluster
-// do not collide on the same timeline tracks.
-type fwTracer struct {
-	t      obs.Tracer
-	off    int
-	prefix string
-}
-
-func (w fwTracer) shift(proc int) int {
-	if proc < 0 {
-		return proc // -1 = external environment, not a track
-	}
-	return proc + w.off
-}
-
-func (w fwTracer) ProcStart(ts int64, proc int, name string) {
-	w.t.ProcStart(ts, w.shift(proc), w.prefix+name)
-}
-func (w fwTracer) ProcStop(ts int64, proc int, status string) {
-	w.t.ProcStop(ts, w.shift(proc), status)
-}
-func (w fwTracer) Rendezvous(ts int64, ch string, sender, receiver int) {
-	w.t.Rendezvous(ts, w.prefix+ch, w.shift(sender), w.shift(receiver))
-}
-func (w fwTracer) Alloc(ts int64, proc, live int) { w.t.Alloc(ts, w.shift(proc), live) }
-func (w fwTracer) Free(ts int64, proc, live int)  { w.t.Free(ts, w.shift(proc), live) }
-func (w fwTracer) Fault(ts int64, proc int, msg string) {
-	w.t.Fault(ts, w.shift(proc), w.prefix+msg)
-}
-func (w fwTracer) Poll(ts int64, ch string) { w.t.Poll(ts, w.prefix+ch) }
-
 // AttachObs attaches the observability stack to the whole cluster:
 // sim-kernel metrics, hardware timeline spans on both NICs, and — when
-// the firmware is the ESP flavor — VM process timelines, a shared
+// the firmware is the ESP flavor — a full event recorder per firmware VM
+// (rendered into tr by appendVMTraces after the run), a shared
 // source-line cycle profile, and VM metrics from both machines. Any
 // argument may be nil to skip that sink.
 func (c *Cluster) AttachObs(tr *obs.ChromeTracer, prof *obs.Profiler, reg *obs.Metrics) {
@@ -153,17 +122,33 @@ func (c *Cluster) AttachObs(tr *obs.ChromeTracer, prof *obs.Profiler, reg *obs.M
 	if tr != nil {
 		span = tr
 	}
-	for i, n := range c.NICs {
+	for _, n := range c.NICs {
 		n.SetTrace(span)
 		fw, ok := n.FW.(*ESPFirmware)
 		if !ok {
 			continue
 		}
-		var vt obs.Tracer
+		var rec *obs.FlightRecorder
 		if tr != nil {
-			vt = fwTracer{t: tr, off: i * procTrackStride, prefix: fmt.Sprintf("nic%d ", i)}
+			rec = obs.NewEventLog()
 		}
-		fw.AttachObs(vt, prof, reg)
+		fw.AttachObs(rec, prof, reg)
+	}
+}
+
+// appendVMTraces renders each ESP firmware VM's recorded events into tr:
+// NIC i's process ids are offset by i*procTrackStride and its process,
+// channel and fault names prefixed "nic<i> ", so the two machines of a
+// cluster do not collide on the same timeline tracks.
+func (c *Cluster) appendVMTraces(tr *obs.ChromeTracer) {
+	for i, n := range c.NICs {
+		fw, ok := n.FW.(*ESPFirmware)
+		if !ok || fw.m.Recorder() == nil {
+			continue
+		}
+		rec := fw.m.Recorder()
+		rec.Sync()
+		tr.AddEvents(rec.Snapshot(0), i*procTrackStride, fmt.Sprintf("nic%d ", i))
 	}
 }
 
@@ -249,9 +234,10 @@ func PingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, error) 
 // and returns the populated sinks along with the latency: a Chrome trace
 // with one track per DMA engine, per NIC CPU, and (ESP flavor) per ESP
 // process; a source-line cycle profile aggregated over both firmware
-// VMs; and the metrics registry. Trace timestamps are simulation
-// nanoseconds (the tracer is built with scale 1e-3, so they land in
-// trace-standard microseconds).
+// VMs; and the metrics registry. Each firmware VM records into its own
+// full recorder under the sim clock; its events join the trace after
+// the run. Trace timestamps are simulation nanoseconds (the tracer is
+// built with scale 1e-3, so they land in trace-standard microseconds).
 func TracePingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, *obs.ChromeTracer, *obs.Profiler, *obs.Metrics, error) {
 	c, err := NewCluster(flavor, cfg)
 	if err != nil {
@@ -262,6 +248,7 @@ func TracePingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, *o
 	reg := obs.NewMetrics()
 	c.AttachObs(tr, prof, reg)
 	lat, err := pingPong(c, flavor, size, rounds)
+	c.appendVMTraces(tr)
 	return lat, tr, prof, reg, err
 }
 
