@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/ir"
 	"esplang/internal/nic"
 	"esplang/internal/obs"
+	"esplang/internal/types"
+	"esplang/internal/vm"
 	"esplang/internal/vmmc"
 )
 
@@ -86,9 +89,11 @@ func TestEngineDifferentialTestdata(t *testing.T) {
 	}
 }
 
-// faultPrograms trip a runtime fault inside code the fuser groups into
-// superinstructions, so the fused engine must materialize the exact
-// baseline fault — kind, message, PC, and source position.
+// faultPrograms trip one runtime fault each: arithmetic, assert, heap
+// (use after free, double unlink, bad array sizes), index and union-tag
+// faults, several inside code the fuser groups into superinstructions.
+// Every tier must materialize the exact baseline fault — kind, message,
+// PC, and source position.
 var faultPrograms = []struct{ name, src string }{
 	{"div-by-zero", `
 channel outC: int external reader
@@ -120,6 +125,50 @@ process p {
     unlink( d);
     out( outC, d[0]);
 }`},
+	{"double-unlink", `
+channel outC: int external reader
+process p {
+    $d: array of int = { 4 -> 7};
+    unlink( d);
+    unlink( d);
+    out( outC, 1);
+}`},
+	{"index-read-oob", `
+channel outC: int external reader
+process p {
+    $d: array of int = { 4 -> 7};
+    $i = 4;
+    out( outC, d[i]);
+}`},
+	{"index-write-negative", `
+channel outC: int external reader
+process p {
+    $d: #array of int = #{ 4 -> 0};
+    $i = 0 - 1;
+    d[i] = 5;
+    out( outC, d[0]);
+}`},
+	{"array-size-negative", `
+channel outC: int external reader
+process p {
+    $n = 0 - 2;
+    $d: array of int = { n -> 0};
+    out( outC, d[0]);
+}`},
+	{"array-size-limit", `
+channel outC: int external reader
+process p {
+    $d: array of int = { 1000000000 -> 0};
+    out( outC, d[0]);
+}`},
+	{"union-tag-mismatch", `
+type u = union of { a: int, b: int }
+channel outC: int external reader
+process p {
+    $v: u = { b |> 3};
+    { a |> $x} = v;
+    out( outC, x);
+}`},
 }
 
 // TestEngineDifferentialFaults: fault identity across engines, including
@@ -150,6 +199,109 @@ func TestEngineDifferentialFaults(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestEngineDifferentialStepBudget: the step budget can cross a fused
+// group at any component. Sweeping it over every sample program, the
+// fused engine must reproduce the baseline's fault, meter, statistics and
+// live heap at each crossing, and at least one crossing must fall on the
+// Send half of an fxferrec group, whose NewRecord half the baseline has
+// already completed when it faults.
+//
+// The canonical inputs cannot reach an fxferrec within a small budget:
+// appendixb's pageTable consumes both updates in its first quantum, so it
+// faults first. The sweep therefore also runs appendixb with a single
+// send request that arrives once every process has blocked, which gives
+// the firmware pipeline the short quanta that cross its transfers.
+func TestEngineDifferentialStepBudget(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.esp")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	type sweep struct {
+		name string
+		prog *esplang.Program
+		run  func(*esplang.Program, *esplang.Machine)
+	}
+	var sweeps []sweep
+	for _, f := range files {
+		prog, err := esplang.CompileFile(f, esplang.CompileOptions{VerifyIR: true})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		sweeps = append(sweeps, sweep{filepath.Base(f), prog, func(prog *esplang.Program, m *esplang.Machine) {
+			feedInputs(t, prog, m)
+			m.Run()
+		}})
+		if filepath.Base(f) == "appendixb.esp" {
+			sweeps = append(sweeps, sweep{"appendixb.esp/late-send", prog, lateSendRequest(t)})
+		}
+	}
+	faulted, xferSendHalf := 0, 0
+	for _, sw := range sweeps {
+		for budget := int64(1); budget <= 80; budget++ {
+			sameAcrossEngines(t, fmt.Sprintf("%s at StepBudget %d", sw.name, budget), func(engine esplang.Engine) string {
+				m := sw.prog.Machine(esplang.MachineConfig{MaxLiveObjects: 64, Engine: engine, StepBudget: budget})
+				sw.run(sw.prog, m)
+				flt := m.Fault()
+				if engine == esplang.EngineFused && flt != nil && flt.Kind == vm.FaultStep {
+					faulted++
+					if onXferSend(sw.prog, flt) {
+						xferSendHalf++
+					}
+				}
+				st := m.Stats
+				st.DirectXfers = 0
+				return fmt.Sprintf("fault=%v cycles=%d stats=%+v live=%d", flt, m.Cycles, st, m.Heap().Live())
+			})
+		}
+	}
+	t.Logf("%d step-budget faults, %d on the Send half of an fxferrec", faulted, xferSendHalf)
+	if xferSendHalf == 0 {
+		t.Error("no budget fell on the Send half of an fxferrec group; the sweep no longer covers that crossing")
+	}
+}
+
+// lateSendRequest runs appendixb until every process blocks, then
+// delivers one send request (dest 9, vAddr 3, size 4) and runs on.
+func lateSendRequest(t *testing.T) func(*esplang.Program, *esplang.Machine) {
+	return func(prog *esplang.Program, m *esplang.Machine) {
+		if err := m.BindReader("SM2C", &esplang.CollectReader{}); err != nil {
+			t.Fatal(err)
+		}
+		w := &esplang.QueueWriter{}
+		if err := m.BindWriter("userReqC", w); err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		var userT *types.Type
+		for _, ch := range prog.IR.Channels {
+			if ch.Name == "userReqC" {
+				userT = ch.Elem
+			}
+		}
+		w.Push(0, func(mm *esplang.Machine) esplang.Value {
+			return mm.NewUnionV(userT, 0, mm.NewRecordV(userT.Fields[0].Type,
+				esplang.IntVal(9), esplang.IntVal(3), esplang.IntVal(4)))
+		})
+		m.Run()
+	}
+}
+
+// onXferSend reports whether the fault pc is the Send component of an
+// FXferRec group in the faulting process's fused translation.
+func onXferSend(prog *esplang.Program, f *esplang.Fault) bool {
+	for i, proc := range prog.IR.Procs {
+		if proc.Name != f.Proc {
+			continue
+		}
+		for _, fi := range prog.IR.Fused[i].Code {
+			if fi.Op == ir.FXferRec && int(fi.Base)+1 == f.PC {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestEngineDifferentialTraces: the Chrome trace rendered from a full

@@ -3,8 +3,9 @@
 // esplang requirement with the on-disk repository root, so the child
 // compiles against the exact runtime it will drive. Build products are
 // cached in the user cache directory keyed on a content hash of the
-// generated source, so re-running the same program skips the toolchain
-// entirely (the 10x benchmark numbers are quoted against a warm cache).
+// generated source and of the runtime sources it links, so re-running the
+// same program skips the toolchain entirely (the 10x benchmark numbers are
+// quoted against a warm cache).
 package gobackend
 
 import (
@@ -12,11 +13,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 
 	esplang "esplang"
 )
@@ -113,6 +116,75 @@ func WriteTree(dir, mainSrc string) error {
 	return os.WriteFile(filepath.Join(dir, "go.mod"), []byte(childGoMod(root)), 0o644)
 }
 
+// sourceDigest returns the digest of the module's non-test Go sources
+// (hashSources), computed once per process: the module root is fixed for
+// the life of the process.
+var sourceDigest = sync.OnceValues(func() (string, error) {
+	goTool, err := Toolchain()
+	if err != nil {
+		return "", err
+	}
+	root, err := moduleRoot(goTool)
+	if err != nil {
+		return "", err
+	}
+	return hashSources(root)
+})
+
+// hashSources digests moduleSources by path and content.
+func hashSources(root string) (string, error) {
+	h := sha256.New()
+	err := moduleSources(root, func(rel string, data []byte) {
+		fmt.Fprintf(h, "%s\x00%d\x00", rel, len(data))
+		h.Write(data)
+	})
+	if err != nil {
+		return "", fmt.Errorf("gobackend: hashing module sources: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// moduleSources visits, in lexical order, everything under the module
+// root that a generated binary can link: go.mod, go.sum and every
+// non-test .go file, skipping what the go tool ignores (testdata and
+// names starting with "." or "_") and nested modules. rel is
+// slash-separated and relative to root.
+func moduleSources(root string, visit func(rel string, data []byte)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		isSrc := strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+		isMod := filepath.Dir(path) == root && (name == "go.mod" || name == "go.sum")
+		if !isSrc && !isMod {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), data)
+		return nil
+	})
+}
+
 // cacheRoot returns the build-product cache directory.
 func cacheRoot(override string) string {
 	if override != "" {
@@ -126,10 +198,11 @@ func cacheRoot(override string) string {
 
 // Build emits, writes, and compiles the generated package for src,
 // returning a Runner for the cached binary. The cache key covers the
-// generated source and the child go.mod (which embeds the module root),
-// so any change to the program, the emitter, or the runtime location
-// forces a rebuild; an existing binary is reused without invoking the
-// toolchain at all.
+// generated source, the child go.mod (which embeds the module root) and
+// the digest of the module's non-test Go sources, so any change to the
+// program, the emitter, the runtime the binary links, or the runtime
+// location forces a rebuild; an existing binary is reused without
+// invoking the toolchain at all.
 func Build(src string, o BuildOptions) (*Runner, error) {
 	if _, err := Toolchain(); err != nil {
 		return nil, err
@@ -159,8 +232,12 @@ func BuildProgram(prog *esplang.Program, o BuildOptions) (*Runner, error) {
 		return nil, err
 	}
 	gomod := childGoMod(root)
+	srcs, err := sourceDigest()
+	if err != nil {
+		return nil, err
+	}
 
-	sum := sha256.Sum256([]byte(mainSrc + "\x00" + gomod))
+	sum := sha256.Sum256([]byte(mainSrc + "\x00" + gomod + "\x00" + srcs))
 	key := hex.EncodeToString(sum[:8])
 	dir := filepath.Join(cacheRoot(o.CacheDir), key)
 	bin := filepath.Join(dir, "espcompiled")

@@ -12,7 +12,7 @@
 // are compiled: locals and operand-stack slots become Go variables,
 // basic blocks become labeled code with gotos, and every effectful or
 // blocking instruction calls the CG* bridge methods of internal/vm,
-// which are verbatim transcriptions of the baseline interpreter cases.
+// the same methods the baseline and fused interpreters run for it.
 // §6 cycle accounting is kept as an overlay: pure instruction runs are
 // charged in batches at segment entry (same totals, same order relative
 // to every non-instruction charge), so Stats, the cycle meter, faults,

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -293,6 +295,127 @@ func TestBuildCache(t *testing.T) {
 	if r1.Bin != r2.Bin {
 		t.Errorf("cache key unstable: %s vs %s", r1.Bin, r2.Bin)
 	}
+}
+
+// TestHashSourcesTracksRuntimeEdits: the runtime-source digest in the
+// build cache key changes with any non-test Go source or go.mod, and
+// ignores test files, testdata and nested modules.
+func TestHashSourcesTracksRuntimeEdits(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, data string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	digest := func() string {
+		t.Helper()
+		d, err := hashSources(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	write("go.mod", "module m\n")
+	write("internal/vm/value.go", "package vm\n")
+	base := digest()
+
+	for _, rel := range []string{"internal/vm/value_test.go", "internal/vm/testdata/x.go",
+		"internal/.hidden/x.go", "bench/go.mod", "bench/x.go", "README.md"} {
+		write(rel, "package x // "+rel+"\n")
+		if got := digest(); got != base {
+			t.Errorf("writing %s changed the digest", rel)
+		}
+	}
+	for _, rel := range []string{"internal/vm/value.go", "internal/vm/new.go", "go.mod", "go.sum"} {
+		write(rel, "package vm // edited "+rel+"\n")
+		got := digest()
+		if got == base {
+			t.Errorf("writing %s left the digest unchanged", rel)
+		}
+		base = got
+	}
+}
+
+// TestBuildCacheTracksRuntimeEdits: a cached compiled-engine binary must
+// not outlive an edit to the runtime it links. esprun, built from a copy
+// of the module's sources, runs a double free on the compiled engine;
+// then the fault text in the copy's internal/vm/value.go changes, and the
+// same esprun binary must report the new text (a stale cache hit reports
+// the old one).
+func TestBuildCacheTracksRuntimeEdits(t *testing.T) {
+	requireToolchain(t)
+	if testing.Short() {
+		t.Skip("skipping: builds esprun and two generated binaries")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("skipping: relies on XDG_CACHE_HOME to isolate the build cache")
+	}
+	goTool, _ := Toolchain()
+	root, err := moduleRoot(goTool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gocache, err := exec.Command(goTool, "env", "GOCACHE").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	mod := filepath.Join(tmp, "mod")
+	err = moduleSources(root, func(rel string, data []byte) {
+		path := filepath.Join(mod, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := append(os.Environ(), "GOWORK=off", "GOFLAGS=",
+		"GOCACHE="+strings.TrimSpace(string(gocache)), "XDG_CACHE_HOME="+filepath.Join(tmp, "cache"))
+	esprun := filepath.Join(tmp, "esprun")
+	build := exec.Command(goTool, "build", "-o", esprun, "./cmd/esprun")
+	build.Dir, build.Env = mod, env
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build esprun: %v\n%s", err, out)
+	}
+	prog := filepath.Join(tmp, "df.esp")
+	src := "type t = array of int\nchannel done: int external reader\n" +
+		"process p {\n    $a: t = { 4 -> 1};\n    unlink( a);\n    unlink( a);\n    out( done, 1);\n}\n"
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(want string) {
+		t.Helper()
+		cmd := exec.Command(esprun, "-engine", "compiled", prog)
+		cmd.Env = env
+		out, _ := cmd.CombinedOutput() // the fault exits non-zero
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("compiled run: want %q in\n%s", want, out)
+		}
+	}
+	run("unlink of freed object")
+
+	value := filepath.Join(mod, "internal", "vm", "value.go")
+	data, err := os.ReadFile(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(data), "unlink of freed object", "unlink of released object", 1)
+	if edited == string(data) {
+		t.Fatal("internal/vm/value.go no longer contains the fault text this test edits")
+	}
+	if err := os.WriteFile(value, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run("unlink of released object")
 }
 
 func TestNoToolchain(t *testing.T) {

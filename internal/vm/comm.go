@@ -49,13 +49,8 @@ func (m *Machine) match(pat *ir.Pat, v Value, recv *ProcInst) bool {
 func (m *Machine) bindPat(pat *ir.Pat, v Value, recv *ProcInst) {
 	switch pat.Kind {
 	case ir.PatBind:
-		if v.IsRef {
-			if f := m.heap.Link(v.Ref); f != nil {
-				m.setFault(f, recv)
-				return
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
+		if v.IsRef && !m.link(recv, v.Ref) {
+			return
 		}
 		recv.Locals[pat.Slot] = v
 	case ir.PatRecord:

@@ -3,20 +3,21 @@ package vm
 import (
 	"fmt"
 
-	"esplang/internal/ir"
 	"esplang/internal/obs"
 )
 
-// Compiled-engine bridge.
+// Compiled-engine bridge, and the one body of every effectful operation.
 //
 // The gobackend emitter translates each process body into a Go function
 // (stack slots in Go locals, control flow as labeled gotos) that keeps
 // pure instructions inline and calls the CG* methods below for every
-// operation that can fault, allocate, trace, or block. The bridge bodies
-// are verbatim transcriptions of the corresponding execBase cases, so
-// every charge, Stats bump, trace event, and fault message lands in the
-// same order the baseline oracle produces — the differential suite
-// compares the two bit-for-bit.
+// operation that can fault, allocate, trace, or block. execBase and
+// execFused call the same methods for their allocation, reference-count,
+// communication and fault cases, so each operation's charges, Stats
+// bumps, trace events and fault messages are written once and land in
+// the same order on every tier. Only the charge-free accessors (field,
+// index and union reads, SetIndex, CastReuse) stay inline in each tier,
+// sharing checkObj and one fault constructor per message (exec.go).
 //
 // Generated code runs in a separate process (espc -emit-go builds a main
 // package that links this package through the esplang module), so the
@@ -43,11 +44,11 @@ func (m *Machine) InstallCompiled(fns []CompiledProc) error {
 }
 
 // CGBudgetFault charges the base instructions the baseline would still
-// have executed when a bulk-charged segment of n instructions crosses the
-// step budget, and faults at the component the baseline would have
-// faulted at. Mirrors execFused's group budget handling: with b =
-// steps-n instructions already run, the first j = budget-b components are
-// charged and the fault pc is base+j.
+// have executed when a bulk-charged segment of n instructions starting at
+// base pc crosses the step budget, and faults at the component the
+// baseline would have faulted at: with b = steps-n instructions already
+// run, the first j = budget-b components are charged and the fault pc is
+// base+j. The baseline calls it with n = 1 (j = 0), execFused per group.
 func (m *Machine) CGBudgetFault(p *ProcInst, base int, n, steps int64) {
 	j := m.Config.StepBudget - (steps - n)
 	m.Cycles += j * m.Cost.PerInstr
@@ -86,54 +87,38 @@ func (m *Machine) CGAssertFault(p *ProcInst, idx int) {
 }
 
 // CGNewRecord runs the NewRecord opcode against p's architectural stack:
-// the generated code spills the nf field operands into p.Stack first and
-// reloads the pushed reference afterwards. Returns false on fault.
+// the nf field operands are on p.Stack (the generated code spills them
+// there first and reloads the pushed reference afterwards). Returns false
+// on fault.
 func (m *Machine) CGNewRecord(p *ProcInst, typeID, nf int, mask int64) bool {
-	t := m.Prog.Universe.ByID(typeID)
-	o := m.heap.Alloc(t, nf)
+	o := m.alloc(p, m.Prog.Universe.ByID(typeID), nf)
 	if o == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
 		return false
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
 	for i := nf - 1; i >= 0; i-- {
 		v := p.pop()
 		o.Elems[i] = v
-		if v.IsRef && mask&(1<<i) == 0 {
-			if f := m.heap.Link(v.Ref); f != nil {
-				m.setFault(f, p)
-				return false
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
+		// Borrowed (non-fresh) reference fields are linked; fresh
+		// temporaries (mask bit set) are absorbed: their allocation
+		// reference moves into the record.
+		if v.IsRef && mask&(1<<i) == 0 && !m.link(p, v.Ref) {
+			return false
 		}
 	}
 	p.push(RefVal(o))
 	return true
 }
 
-// CGNewUnion runs the NewUnion opcode on an operand held in a Go local.
+// CGNewUnion runs the NewUnion opcode on a popped payload.
 func (m *Machine) CGNewUnion(p *ProcInst, payload Value, typeID, tag int, absorb bool) (Value, bool) {
-	t := m.Prog.Universe.ByID(typeID)
-	o := m.heap.Alloc(t, 1)
+	o := m.alloc(p, m.Prog.Universe.ByID(typeID), 1)
 	if o == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
 		return Value{}, false
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
 	o.Tag = tag
 	o.Elems[0] = payload
-	if payload.IsRef && !absorb {
-		if f := m.heap.Link(payload.Ref); f != nil {
-			m.setFault(f, p)
-			return Value{}, false
-		}
-		m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-		m.Stats.RefOps++
+	if payload.IsRef && !absorb && !m.link(p, payload.Ref) {
+		return Value{}, false
 	}
 	return RefVal(o), true
 }
@@ -148,15 +133,10 @@ func (m *Machine) CGNewArray(p *ProcInst, count, init Value, typeID int) (Value,
 		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: fmt.Sprintf("array size %d exceeds the %d-element object limit", count.Int, MaxAllocElems)}, p)
 		return Value{}, false
 	}
-	t := m.Prog.Universe.ByID(typeID)
-	o := m.heap.Alloc(t, int(count.Int))
+	o := m.alloc(p, m.Prog.Universe.ByID(typeID), int(count.Int))
 	if o == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
 		return Value{}, false
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
 	for i := range o.Elems {
 		o.Elems[i] = init
 	}
@@ -180,23 +160,10 @@ func (m *Machine) CGSetField(p *ProcInst, ov, v Value, idx int) bool {
 	}
 	old := o.Elems[idx]
 	o.Elems[idx] = v
-	if v.IsRef {
-		if f := m.heap.Link(v.Ref); f != nil {
-			m.setFault(f, p)
-			return false
-		}
-		m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-		m.Stats.RefOps++
+	if v.IsRef && !m.link(p, v.Ref) {
+		return false
 	}
-	if old.IsRef {
-		if f := m.heap.Unlink(old.Ref); f != nil {
-			m.setFault(f, p)
-			return false
-		}
-		m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-		m.Stats.RefOps++
-	}
-	return true
+	return !old.IsRef || m.unlink(p, old.Ref)
 }
 
 // CGGetIndex runs the GetIndex opcode.
@@ -206,8 +173,7 @@ func (m *Machine) CGGetIndex(p *ProcInst, ov, iv Value) (Value, bool) {
 		return Value{}, false
 	}
 	if iv.Int < 0 || int(iv.Int) >= len(o.Elems) {
-		m.setFault(&Fault{Kind: FaultIndexOOB,
-			Msg: fmt.Sprintf("index %d out of bounds for array of %d", iv.Int, len(o.Elems))}, p)
+		m.indexFault(p, iv.Int, len(o.Elems))
 		return Value{}, false
 	}
 	return o.Elems[iv.Int], true
@@ -220,8 +186,7 @@ func (m *Machine) CGSetIndex(p *ProcInst, ov, iv, v Value) bool {
 		return false
 	}
 	if iv.Int < 0 || int(iv.Int) >= len(o.Elems) {
-		m.setFault(&Fault{Kind: FaultIndexOOB,
-			Msg: fmt.Sprintf("index %d out of bounds for array of %d", iv.Int, len(o.Elems))}, p)
+		m.indexFault(p, iv.Int, len(o.Elems))
 		return false
 	}
 	o.Elems[iv.Int] = v
@@ -235,8 +200,7 @@ func (m *Machine) CGUnionGet(p *ProcInst, v Value, tag int) (Value, bool) {
 		return Value{}, false
 	}
 	if o.Tag != tag {
-		m.setFault(&Fault{Kind: FaultTagMismatch,
-			Msg: fmt.Sprintf("union has tag %d, pattern requires %d", o.Tag, tag)}, p)
+		m.tagFault(p, o.Tag, tag)
 		return Value{}, false
 	}
 	return o.Elems[0], true
@@ -245,16 +209,7 @@ func (m *Machine) CGUnionGet(p *ProcInst, v Value, tag int) (Value, bool) {
 // CGLink runs the Link opcode.
 func (m *Machine) CGLink(p *ProcInst, v Value) bool {
 	o := m.checkObj(v, p)
-	if o == nil {
-		return false
-	}
-	if f := m.heap.Link(o); f != nil {
-		m.setFault(f, p)
-		return false
-	}
-	m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-	m.Stats.RefOps++
-	return true
+	return o != nil && m.link(p, o)
 }
 
 // CGUnlink runs the Unlink opcode.
@@ -263,13 +218,7 @@ func (m *Machine) CGUnlink(p *ProcInst, v Value) bool {
 		m.setFault(&Fault{Kind: FaultInternal, Msg: "unlink of scalar"}, p)
 		return false
 	}
-	if f := m.heap.Unlink(v.Ref); f != nil {
-		m.setFault(f, p)
-		return false
-	}
-	m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-	m.Stats.RefOps++
-	return true
+	return m.unlink(p, v.Ref)
 }
 
 // CGCastCopy runs the CastCopy opcode.
@@ -278,25 +227,15 @@ func (m *Machine) CGCastCopy(p *ProcInst, v Value, typeID int) (Value, bool) {
 	if o == nil {
 		return Value{}, false
 	}
-	t := m.Prog.Universe.ByID(typeID)
-	n := m.heap.Alloc(t, len(o.Elems))
+	n := m.alloc(p, m.Prog.Universe.ByID(typeID), len(o.Elems))
 	if n == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
 		return Value{}, false
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
 	n.Tag = o.Tag
 	copy(n.Elems, o.Elems)
 	for _, e := range n.Elems {
-		if e.IsRef {
-			if f := m.heap.Link(e.Ref); f != nil {
-				m.setFault(f, p)
-				return Value{}, false
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
+		if e.IsRef && !m.link(p, e.Ref) {
+			return Value{}, false
 		}
 	}
 	return RefVal(n), true
@@ -482,7 +421,3 @@ func CGSpill(p *ProcInst, d int) []Value {
 	p.Stack = p.Stack[:d]
 	return p.Stack
 }
-
-// ir dependency kept explicit: the bridge shares FlagFreeAfter semantics
-// with the interpreter (flags travel through p.PendingFlags untouched).
-var _ = ir.FlagFreeAfter

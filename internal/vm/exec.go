@@ -5,6 +5,7 @@ import (
 
 	"esplang/internal/ir"
 	"esplang/internal/obs"
+	"esplang/internal/types"
 )
 
 // push/pop are the interpreter's stack primitives. They are methods (not
@@ -35,6 +36,63 @@ func (m *Machine) checkObj(v Value, p *ProcInst) *Object {
 	return v.Ref
 }
 
+// alloc allocates an n-element object of type t for p (nil = the external
+// environment) and pays for it — the Alloc charge, Stats.Allocs and the
+// alloc event — or faults when the live-object bound is exhausted. Every
+// allocation but deepCopy's (which charges per copied word) goes through
+// it.
+func (m *Machine) alloc(p *ProcInst, t *types.Type, n int) *Object {
+	o := m.heap.Alloc(t, n)
+	if o == nil {
+		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
+		return nil
+	}
+	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
+	m.Stats.Allocs++
+	proc := -1
+	if p != nil {
+		proc = p.ID
+	}
+	m.traceAlloc(proc)
+	return o
+}
+
+// link and unlink are the reference-count operations of the opcodes and
+// of receive binding: the heap op, its fault, and the RefOp charge.
+// Both return false on fault. deliver's FreeAfter unlinks keep their own
+// accounting (they charge even when the unlink faults).
+func (m *Machine) link(p *ProcInst, o *Object) bool {
+	if f := m.heap.Link(o); f != nil {
+		m.setFault(f, p)
+		return false
+	}
+	m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
+	m.Stats.RefOps++
+	return true
+}
+
+func (m *Machine) unlink(p *ProcInst, o *Object) bool {
+	if f := m.heap.Unlink(o); f != nil {
+		m.setFault(f, p)
+		return false
+	}
+	m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
+	m.Stats.RefOps++
+	return true
+}
+
+// indexFault and tagFault are the faults of the charge-free accessors,
+// which every tier keeps inline.
+func (m *Machine) indexFault(p *ProcInst, i int64, n int) {
+	m.setFault(&Fault{Kind: FaultIndexOOB,
+		Msg: fmt.Sprintf("index %d out of bounds for array of %d", i, n)}, p)
+}
+
+func (m *Machine) tagFault(p *ProcInst, tag, want int) {
+	m.setFault(&Fault{Kind: FaultTagMismatch,
+		Msg: fmt.Sprintf("union has tag %d, pattern requires %d", tag, want)}, p)
+}
+
 // exec runs process p until it blocks, halts, or faults, dispatching to
 // the engine the machine was configured with. The fused engine bows out
 // while a profiler is installed: per-line cycle attribution needs the
@@ -55,7 +113,9 @@ func (m *Machine) exec(p *ProcInst) {
 // execBase is the baseline interpreter and the differential-testing
 // oracle for the fused engine. It implements the non-preemptive execution
 // discipline of §6.1: between blocking points a process runs
-// uninterrupted.
+// uninterrupted. Every effectful opcode runs through the CG* method the
+// compiled tier calls too (compiled.go), so the three tiers share one
+// body per operation; only the pure and charge-free cases are inline.
 func (m *Machine) execBase(p *ProcInst) {
 	code := p.Def.Code
 	pc := p.PC
@@ -64,9 +124,7 @@ func (m *Machine) execBase(p *ProcInst) {
 	for m.flt == nil {
 		steps++
 		if steps > m.Config.StepBudget {
-			p.PC = pc
-			m.setFault(&Fault{Kind: FaultStep,
-				Msg: fmt.Sprintf("process executed more than %d instructions without blocking", m.Config.StepBudget)}, p)
+			m.CGBudgetFault(p, pc, 1, steps)
 			return
 		}
 		in := code[pc]
@@ -121,13 +179,13 @@ func (m *Machine) execBase(p *ProcInst) {
 				r = IntVal(x.Int * y.Int)
 			case ir.Div:
 				if y.Int == 0 {
-					m.setFault(&Fault{Kind: FaultDivByZero, Msg: "division by zero"}, p)
+					m.CGDivFault(p, false)
 					return
 				}
 				r = IntVal(x.Int / y.Int)
 			case ir.Mod:
 				if y.Int == 0 {
-					m.setFault(&Fault{Kind: FaultDivByZero, Msg: "modulo by zero"}, p)
+					m.CGDivFault(p, true)
 					return
 				}
 				r = IntVal(x.Int % y.Int)
@@ -163,79 +221,24 @@ func (m *Machine) execBase(p *ProcInst) {
 			}
 
 		case ir.NewRecord:
-			t := m.Prog.Universe.ByID(in.A)
-			o := m.heap.Alloc(t, in.B)
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
+			if !m.CGNewRecord(p, in.A, in.B, in.Val) {
 				return
 			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			for i := in.B - 1; i >= 0; i-- {
-				v := p.pop()
-				o.Elems[i] = v
-				// Borrowed (non-fresh) reference children are linked; fresh
-				// temporaries are absorbed (their allocation ref moves into
-				// the record).
-				if v.IsRef && in.Val&(1<<i) == 0 {
-					if f := m.heap.Link(v.Ref); f != nil {
-						m.setFault(f, p)
-						return
-					}
-					m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-					m.Stats.RefOps++
-				}
-			}
-			p.push(RefVal(o))
 			pc++
 		case ir.NewUnion:
-			t := m.Prog.Universe.ByID(in.A)
-			v := p.pop()
-			o := m.heap.Alloc(t, 1)
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
+			r, ok := m.CGNewUnion(p, p.pop(), in.A, in.B, in.Val&1 != 0)
+			if !ok {
 				return
 			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			o.Tag = in.B
-			o.Elems[0] = v
-			if v.IsRef && in.Val&1 == 0 {
-				if f := m.heap.Link(v.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
-			}
-			p.push(RefVal(o))
+			p.push(r)
 			pc++
 		case ir.NewArray:
-			t := m.Prog.Universe.ByID(in.A)
 			init := p.pop()
-			count := p.pop()
-			if count.Int < 0 {
-				m.setFault(&Fault{Kind: FaultIndexOOB, Msg: fmt.Sprintf("array size %d is negative", count.Int)}, p)
+			r, ok := m.CGNewArray(p, p.pop(), init, in.A)
+			if !ok {
 				return
 			}
-			if count.Int > MaxAllocElems {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: fmt.Sprintf("array size %d exceeds the %d-element object limit", count.Int, MaxAllocElems)}, p)
-				return
-			}
-			o := m.heap.Alloc(t, int(count.Int))
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-				return
-			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			for i := range o.Elems {
-				o.Elems[i] = init
-			}
-			p.push(RefVal(o))
+			p.push(r)
 			pc++
 
 		case ir.GetField:
@@ -247,27 +250,8 @@ func (m *Machine) execBase(p *ProcInst) {
 			pc++
 		case ir.SetField:
 			v := p.pop()
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			if !m.CGSetField(p, p.pop(), v, in.A) {
 				return
-			}
-			old := o.Elems[in.A]
-			o.Elems[in.A] = v
-			if v.IsRef {
-				if f := m.heap.Link(v.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
-			}
-			if old.IsRef {
-				if f := m.heap.Unlink(old.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
 			}
 			pc++
 		case ir.GetIndex:
@@ -277,8 +261,7 @@ func (m *Machine) execBase(p *ProcInst) {
 				return
 			}
 			if i.Int < 0 || int(i.Int) >= len(o.Elems) {
-				m.setFault(&Fault{Kind: FaultIndexOOB,
-					Msg: fmt.Sprintf("index %d out of bounds for array of %d", i.Int, len(o.Elems))}, p)
+				m.indexFault(p, i.Int, len(o.Elems))
 				return
 			}
 			p.push(o.Elems[i.Int])
@@ -291,8 +274,7 @@ func (m *Machine) execBase(p *ProcInst) {
 				return
 			}
 			if i.Int < 0 || int(i.Int) >= len(o.Elems) {
-				m.setFault(&Fault{Kind: FaultIndexOOB,
-					Msg: fmt.Sprintf("index %d out of bounds for array of %d", i.Int, len(o.Elems))}, p)
+				m.indexFault(p, i.Int, len(o.Elems))
 				return
 			}
 			o.Elems[i.Int] = v
@@ -303,65 +285,28 @@ func (m *Machine) execBase(p *ProcInst) {
 				return
 			}
 			if o.Tag != in.A {
-				m.setFault(&Fault{Kind: FaultTagMismatch,
-					Msg: fmt.Sprintf("union has tag %d, pattern requires %d", o.Tag, in.A)}, p)
+				m.tagFault(p, o.Tag, in.A)
 				return
 			}
 			p.push(o.Elems[0])
 			pc++
 
 		case ir.Link:
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			if !m.CGLink(p, p.pop()) {
 				return
 			}
-			if f := m.heap.Link(o); f != nil {
-				m.setFault(f, p)
-				return
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
 			pc++
 		case ir.Unlink:
-			v := p.pop()
-			if !v.IsRef || v.Ref == nil {
-				m.setFault(&Fault{Kind: FaultInternal, Msg: "unlink of scalar"}, p)
+			if !m.CGUnlink(p, p.pop()) {
 				return
 			}
-			if f := m.heap.Unlink(v.Ref); f != nil {
-				m.setFault(f, p)
-				return
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
 			pc++
 		case ir.CastCopy:
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			r, ok := m.CGCastCopy(p, p.pop(), in.A)
+			if !ok {
 				return
 			}
-			t := m.Prog.Universe.ByID(in.A)
-			n := m.heap.Alloc(t, len(o.Elems))
-			if n == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-				return
-			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			n.Tag = o.Tag
-			copy(n.Elems, o.Elems)
-			for _, e := range n.Elems {
-				if e.IsRef {
-					if f := m.heap.Link(e.Ref); f != nil {
-						m.setFault(f, p)
-						return
-					}
-					m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-					m.Stats.RefOps++
-				}
-			}
-			p.push(RefVal(n))
+			p.push(r)
 			pc++
 		case ir.CastReuse:
 			// Optimizer-inserted: the source object is dead afterwards, so
@@ -376,11 +321,8 @@ func (m *Machine) execBase(p *ProcInst) {
 			pc++
 
 		case ir.Assert:
-			v := p.pop()
-			if v.Int == 0 {
-				info := m.Prog.Asserts[in.A]
-				m.setFault(&Fault{Kind: FaultAssert,
-					Msg: fmt.Sprintf("assert(%s) failed", info.Expr), Pos: info.Pos}, p)
+			if p.pop().Int == 0 {
+				m.CGAssertFault(p, in.A)
 				return
 			}
 			pc++
@@ -391,67 +333,23 @@ func (m *Machine) execBase(p *ProcInst) {
 			return
 
 		case ir.Send, ir.SendCommit:
-			v := p.pop()
-			p.Pending = v
-			p.PendingFlags = in.B
-			p.WaitChan = in.A
-			p.ResumePC = pc + 1
-			if (!m.Config.Manual || in.Op == ir.SendCommit) && m.tryCompleteSend(p) {
-				if m.flt != nil {
-					return
-				}
-				pc = p.ResumePC
-				continue
-			}
-			if m.flt != nil {
+			if !m.CGSend(p, p.pop(), in.A, in.B, pc+1, in.Op == ir.SendCommit) {
 				return
 			}
-			if in.Op == ir.SendCommit {
-				// A committed send found no matching receiver: the value
-				// did not match the pattern of the process that made the
-				// alt arm look ready.
-				m.setFault(&Fault{Kind: FaultNoMatchingPort,
-					Msg: fmt.Sprintf("committed send on channel %s matches no waiting receiver",
-						m.Prog.Channels[in.A].Name)}, p)
-				return
-			}
-			p.Status = PBlockedSend
-			m.regSend(p, in.A)
-			return
+			pc = p.ResumePC
 
 		case ir.Recv:
-			p.WaitChan = in.A
-			p.WaitPort = in.B
-			p.ResumePC = pc + 1
-			if !m.Config.Manual && m.tryCompleteRecv(p) {
-				if m.flt != nil {
-					return
-				}
-				pc = p.ResumePC
-				continue
-			}
-			if m.flt != nil {
+			if !m.CGRecv(p, in.A, in.B, pc+1) {
 				return
 			}
-			p.Status = PBlockedRecv
-			m.regRecv(p, in.A)
-			return
+			pc = p.ResumePC
 
 		case ir.Alt:
-			p.AltIdx = in.A
-			if m.Config.Manual {
-				p.Status = PBlockedAlt
-				return
+			next, cont := m.CGAlt(p, in.A)
+			if !cont {
+				return // parked (blocked alt or collapsed blocked recv) or faulted
 			}
-			next, cont := m.altStep(p)
-			if m.flt != nil {
-				return
-			}
-			if cont {
-				pc = next
-				continue
-			}
-			return // altStep parked p (blocked alt or collapsed blocked recv)
+			pc = next
 
 		default:
 			m.setFault(&Fault{Kind: FaultInternal, Msg: fmt.Sprintf("bad opcode %s", in.Op)}, p)

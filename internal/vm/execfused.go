@@ -23,7 +23,13 @@ import (
 //     charged components are not materialized — the machine is stopping);
 //   - components that can fault or emit a trace event are always the last
 //     of their group, with p.PC adjusted to their base pc first, so fault
-//     attribution and trace timestamps are bit-identical.
+//     attribution and trace timestamps are bit-identical (FXferRec's
+//     NewRecord, which unwinds the bulk charge to its own, is the one
+//     exception);
+//   - every such component runs through the CG* method the baseline and
+//     the compiled tier call for it (compiled.go), so each operation's
+//     charges, counters, events and fault messages have one body; only
+//     the charge-free accessors and the schedule fast paths are inline.
 //
 // execFused only runs when no profiler is installed (exec falls back to
 // execBase otherwise): per-line cycle attribution needs the baseline's
@@ -46,30 +52,22 @@ func (m *Machine) execFused(p *ProcInst) {
 		n := int64(fi.N)
 		steps += n
 		if steps > m.Config.StepBudget {
-			// The baseline executes components one at a time: with b =
-			// steps-n base instructions already run, it charges the first
-			// j = budget-b components of this group and faults at the next.
-			j := m.Config.StepBudget - (steps - n)
-			if fi.Op == ir.FXferRec && j >= 1 {
-				// The budget admits the NewRecord but not the Send: the
-				// baseline completes the allocation (it is observable — heap
-				// state, Stats, trace) before faulting at the Send's pc.
+			// The baseline executes components one at a time, so only the
+			// components it would have run are charged (CGBudgetFault).
+			// When the budget admits an FXferRec's NewRecord but not its
+			// Send, the baseline completes the allocation (it is
+			// observable — heap state, Stats, trace) before faulting at
+			// the Send's pc.
+			if fi.Op == ir.FXferRec && steps-n < m.Config.StepBudget {
 				m.Cycles += m.Cost.PerInstr
 				m.Stats.Instrs++
 				p.PC = int(fi.Base)
-				if !m.xferRecAlloc(p, fi) {
-					return
+				if m.CGNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
+					m.CGBudgetFault(p, int(fi.Base)+1, 1, steps)
 				}
-				p.PC = int(fi.Base) + 1
-				m.setFault(&Fault{Kind: FaultStep,
-					Msg: fmt.Sprintf("process executed more than %d instructions without blocking", m.Config.StepBudget)}, p)
 				return
 			}
-			m.Cycles += j * m.Cost.PerInstr
-			m.Stats.Instrs += j
-			p.PC = int(fi.Base) + int(j)
-			m.setFault(&Fault{Kind: FaultStep,
-				Msg: fmt.Sprintf("process executed more than %d instructions without blocking", m.Config.StepBudget)}, p)
+			m.CGBudgetFault(p, int(fi.Base), n, steps)
 			return
 		}
 		m.Cycles += n * m.Cost.PerInstr
@@ -125,7 +123,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			y := p.pop()
 			x := p.pop()
 			if y.Int == 0 {
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: "division by zero"}, p)
+				m.CGDivFault(p, false)
 				return
 			}
 			p.push(IntVal(x.Int / y.Int))
@@ -134,7 +132,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			y := p.pop()
 			x := p.pop()
 			if y.Int == 0 {
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: "modulo by zero"}, p)
+				m.CGDivFault(p, true)
 				return
 			}
 			p.push(IntVal(x.Int % y.Int))
@@ -186,73 +184,24 @@ func (m *Machine) execFused(p *ProcInst) {
 			}
 
 		case ir.FNewRecord:
-			o := m.heap.Alloc(fi.Type, int(fi.B))
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
+			if !m.CGNewRecord(p, int(fi.A), int(fi.B), fi.Val) {
 				return
 			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			for i := int(fi.B) - 1; i >= 0; i-- {
-				v := p.pop()
-				o.Elems[i] = v
-				if v.IsRef && fi.Val&(1<<i) == 0 {
-					if f := m.heap.Link(v.Ref); f != nil {
-						m.setFault(f, p)
-						return
-					}
-					m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-					m.Stats.RefOps++
-				}
-			}
-			p.push(RefVal(o))
 			pcF++
 		case ir.FNewUnion:
-			v := p.pop()
-			o := m.heap.Alloc(fi.Type, 1)
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
+			r, ok := m.CGNewUnion(p, p.pop(), int(fi.A), int(fi.B), fi.Val&1 != 0)
+			if !ok {
 				return
 			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			o.Tag = int(fi.B)
-			o.Elems[0] = v
-			if v.IsRef && fi.Val&1 == 0 {
-				if f := m.heap.Link(v.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
-			}
-			p.push(RefVal(o))
+			p.push(r)
 			pcF++
 		case ir.FNewArray:
 			init := p.pop()
-			count := p.pop()
-			if count.Int < 0 {
-				m.setFault(&Fault{Kind: FaultIndexOOB, Msg: fmt.Sprintf("array size %d is negative", count.Int)}, p)
+			r, ok := m.CGNewArray(p, p.pop(), init, int(fi.A))
+			if !ok {
 				return
 			}
-			if count.Int > MaxAllocElems {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: fmt.Sprintf("array size %d exceeds the %d-element object limit", count.Int, MaxAllocElems)}, p)
-				return
-			}
-			o := m.heap.Alloc(fi.Type, int(count.Int))
-			if o == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-				return
-			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			for i := range o.Elems {
-				o.Elems[i] = init
-			}
-			p.push(RefVal(o))
+			p.push(r)
 			pcF++
 
 		case ir.FGetField:
@@ -264,27 +213,8 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 		case ir.FSetField:
 			v := p.pop()
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			if !m.CGSetField(p, p.pop(), v, int(fi.A)) {
 				return
-			}
-			old := o.Elems[fi.A]
-			o.Elems[fi.A] = v
-			if v.IsRef {
-				if f := m.heap.Link(v.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
-			}
-			if old.IsRef {
-				if f := m.heap.Unlink(old.Ref); f != nil {
-					m.setFault(f, p)
-					return
-				}
-				m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-				m.Stats.RefOps++
 			}
 			pcF++
 		case ir.FGetIndex:
@@ -294,8 +224,7 @@ func (m *Machine) execFused(p *ProcInst) {
 				return
 			}
 			if i.Int < 0 || int(i.Int) >= len(o.Elems) {
-				m.setFault(&Fault{Kind: FaultIndexOOB,
-					Msg: fmt.Sprintf("index %d out of bounds for array of %d", i.Int, len(o.Elems))}, p)
+				m.indexFault(p, i.Int, len(o.Elems))
 				return
 			}
 			p.push(o.Elems[i.Int])
@@ -308,8 +237,7 @@ func (m *Machine) execFused(p *ProcInst) {
 				return
 			}
 			if i.Int < 0 || int(i.Int) >= len(o.Elems) {
-				m.setFault(&Fault{Kind: FaultIndexOOB,
-					Msg: fmt.Sprintf("index %d out of bounds for array of %d", i.Int, len(o.Elems))}, p)
+				m.indexFault(p, i.Int, len(o.Elems))
 				return
 			}
 			o.Elems[i.Int] = v
@@ -320,64 +248,28 @@ func (m *Machine) execFused(p *ProcInst) {
 				return
 			}
 			if o.Tag != int(fi.A) {
-				m.setFault(&Fault{Kind: FaultTagMismatch,
-					Msg: fmt.Sprintf("union has tag %d, pattern requires %d", o.Tag, fi.A)}, p)
+				m.tagFault(p, o.Tag, int(fi.A))
 				return
 			}
 			p.push(o.Elems[0])
 			pcF++
 
 		case ir.FLink:
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			if !m.CGLink(p, p.pop()) {
 				return
 			}
-			if f := m.heap.Link(o); f != nil {
-				m.setFault(f, p)
-				return
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
 			pcF++
 		case ir.FUnlink:
-			v := p.pop()
-			if !v.IsRef || v.Ref == nil {
-				m.setFault(&Fault{Kind: FaultInternal, Msg: "unlink of scalar"}, p)
+			if !m.CGUnlink(p, p.pop()) {
 				return
 			}
-			if f := m.heap.Unlink(v.Ref); f != nil {
-				m.setFault(f, p)
-				return
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
 			pcF++
 		case ir.FCastCopy:
-			o := m.checkObj(p.pop(), p)
-			if o == nil {
+			r, ok := m.CGCastCopy(p, p.pop(), int(fi.A))
+			if !ok {
 				return
 			}
-			no := m.heap.Alloc(fi.Type, len(o.Elems))
-			if no == nil {
-				m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-				return
-			}
-			m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-			m.Stats.Allocs++
-			m.traceAlloc(p.ID)
-			no.Tag = o.Tag
-			copy(no.Elems, o.Elems)
-			for _, e := range no.Elems {
-				if e.IsRef {
-					if f := m.heap.Link(e.Ref); f != nil {
-						m.setFault(f, p)
-						return
-					}
-					m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-					m.Stats.RefOps++
-				}
-			}
-			p.push(RefVal(no))
+			p.push(r)
 			pcF++
 		case ir.FCastReuse:
 			o := m.checkObj(p.pop(), p)
@@ -389,11 +281,8 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 
 		case ir.FAssert:
-			v := p.pop()
-			if v.Int == 0 {
-				info := m.Prog.Asserts[fi.A]
-				m.setFault(&Fault{Kind: FaultAssert,
-					Msg: fmt.Sprintf("assert(%s) failed", info.Expr), Pos: info.Pos}, p)
+			if p.pop().Int == 0 {
+				m.CGAssertFault(p, int(fi.A))
 				return
 			}
 			pcF++
@@ -405,7 +294,6 @@ func (m *Machine) execFused(p *ProcInst) {
 		case ir.FSend, ir.FSendCommit, ir.FLoadSend, ir.FConstSend:
 			var v Value
 			var chanID, flags int
-			isCommit := fi.Op == ir.FSendCommit
 			switch fi.Op {
 			case ir.FSend, ir.FSendCommit:
 				v = p.pop()
@@ -419,106 +307,62 @@ func (m *Machine) execFused(p *ProcInst) {
 				chanID, flags = int(fi.B), int(fi.C)
 				p.PC = int(fi.Base) + 1
 			}
-			p.Pending = v
-			p.PendingFlags = flags
-			p.WaitChan = chanID
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if (!m.Config.Manual || isCommit) && m.tryCompleteSend(p) {
-				if m.flt != nil {
-					return
-				}
-				pcF = int(fp.Map[p.ResumePC])
-				continue
-			}
-			if m.flt != nil {
+			if !m.CGSend(p, v, chanID, flags, int(fi.Base)+int(fi.N), fi.Op == ir.FSendCommit) {
 				return
 			}
-			if isCommit {
-				m.setFault(&Fault{Kind: FaultNoMatchingPort,
-					Msg: fmt.Sprintf("committed send on channel %s matches no waiting receiver",
-						m.Prog.Channels[chanID].Name)}, p)
-				return
-			}
-			p.Status = PBlockedSend
-			m.regSend(p, chanID)
-			return
+			pcF = int(fp.Map[p.ResumePC])
 
 		case ir.FRecv:
-			p.WaitChan = int(fi.A)
-			p.WaitPort = int(fi.B)
-			p.ResumePC = int(fi.Base) + 1
-			if !m.Config.Manual && m.tryCompleteRecv(p) {
-				if m.flt != nil {
+			if !m.CGRecv(p, int(fi.A), int(fi.B), int(fi.Base)+1) {
+				return
+			}
+			pcF = int(fp.Map[p.ResumePC])
+
+		case ir.FSendDir:
+			next, ok := m.fusedSendDir(p, fp, fi, p.pop(), int(fi.B))
+			if !ok {
+				return
+			}
+			pcF = next
+
+		case ir.FRecvDir:
+			if m.sched == nil {
+				// No static schedule (manual or queue mode): the generic path.
+				if !m.CGRecv(p, int(fi.A), int(fi.B), int(fi.Base)+int(fi.N)) {
 					return
 				}
 				pcF = int(fp.Map[p.ResumePC])
 				continue
 			}
-			if m.flt != nil {
-				return
-			}
-			p.Status = PBlockedRecv
-			m.regRecv(p, int(fi.A))
-			return
-
-		case ir.FSendDir:
-			v := p.pop()
-			p.Pending = v
-			p.PendingFlags = int(fi.B)
-			p.WaitChan = int(fi.A)
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if next, ok := m.fusedSendDir(p, fp, fi); ok {
-				pcF = next
-				continue
-			}
-			return
-
-		case ir.FRecvDir:
+			// Static rendezvous: the schedule proves process fi.C is the
+			// only sender on this channel, so the partner search inspects
+			// it alone, for the one MaskCheck the narrowed phase-1 scan
+			// pays.
 			chanID := int(fi.A)
 			p.WaitChan = chanID
 			p.WaitPort = int(fi.B)
 			p.ResumePC = int(fi.Base) + int(fi.N)
-			if m.sched != nil {
-				// Static rendezvous: the schedule proves process fi.C is the
-				// only sender on this channel, so the partner search inspects
-				// it alone, for the one MaskCheck the narrowed phase-1 scan
-				// pays.
-				m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-				m.Stats.MaskChecks++
-				s := m.Procs[fi.C]
-				if s.Status == PBlockedSend && s.WaitChan == chanID &&
-					m.deliver(s.Pending, s.PendingFlags, s.ID, p, p.WaitPort) {
-					if m.flt != nil {
-						return
-					}
-					m.Stats.DirectXfers++
-					m.unblock(s, s.ResumePC)
-					pcF = int(fp.Map[p.ResumePC])
-					continue
-				}
+			m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
+			m.Stats.MaskChecks++
+			s := m.Procs[fi.C]
+			if s.Status == PBlockedSend && s.WaitChan == chanID &&
+				m.deliver(s.Pending, s.PendingFlags, s.ID, p, p.WaitPort) {
 				if m.flt != nil {
 					return
 				}
-				// The baseline's failed search pays a second MaskCheck (the
-				// phase-2 alt-arm pass) before blocking.
-				m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-				m.Stats.MaskChecks++
-				p.Status = PBlockedRecv
-				return
-			}
-			// No static schedule (manual or queue mode): the generic path.
-			if !m.Config.Manual && m.tryCompleteRecv(p) {
-				if m.flt != nil {
-					return
-				}
+				m.Stats.DirectXfers++
+				m.unblock(s, s.ResumePC)
 				pcF = int(fp.Map[p.ResumePC])
 				continue
 			}
 			if m.flt != nil {
 				return
 			}
+			// The baseline's failed search pays a second MaskCheck (the
+			// phase-2 alt-arm pass) before blocking.
+			m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
+			m.Stats.MaskChecks++
 			p.Status = PBlockedRecv
-			m.regRecv(p, chanID)
 			return
 
 		case ir.FXferRec:
@@ -529,44 +373,30 @@ func (m *Machine) execFused(p *ProcInst) {
 			// charged once the record exists.
 			m.Cycles -= m.Cost.PerInstr
 			m.Stats.Instrs--
-			if !m.xferRecAlloc(p, fi) {
+			if !m.CGNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
 				return
 			}
 			m.Cycles += m.Cost.PerInstr
 			m.Stats.Instrs++
 			p.PC = int(fi.Base) + 1
-			v := p.pop()
 			flags := 0
 			if fi.Sense {
 				flags = ir.FlagFreeAfter
 			}
-			p.Pending = v
-			p.PendingFlags = flags
-			p.WaitChan = int(fi.A)
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if next, ok := m.fusedSendDir(p, fp, fi); ok {
-				pcF = next
-				continue
+			next, ok := m.fusedSendDir(p, fp, fi, p.pop(), flags)
+			if !ok {
+				return
 			}
-			return
+			pcF = next
 
 		case ir.FAlt:
-			p.AltIdx = int(fi.A)
-			if m.Config.Manual {
-				p.Status = PBlockedAlt
-				return
+			next, cont := m.CGAlt(p, int(fi.A))
+			if !cont {
+				return // parked (blocked alt or collapsed blocked recv) or faulted
 			}
-			next, cont := m.altStep(p)
-			if m.flt != nil {
-				return
-			}
-			if cont {
-				// altStep's continuation pcs (arm eval/body starts) are
-				// entry points, so their translation is defined.
-				pcF = int(fp.Map[next])
-				continue
-			}
-			return // altStep parked p (blocked alt or collapsed blocked recv)
+			// altStep's continuation pcs (arm eval/body starts) are entry
+			// points, so their translation is defined.
+			pcF = int(fp.Map[next])
 
 		// Superinstructions.
 		case ir.FIncrLocal:
@@ -596,7 +426,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			r, ok := fusedBin(fi.Sub, p.Locals[fi.A].Int, fi.Val)
 			if !ok {
 				p.PC = int(fi.Base) + 2 // the Div/Mod component's pc
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: divMsg(fi.Sub)}, p)
+				m.CGDivFault(p, fi.Sub == ir.Mod)
 				return
 			}
 			p.push(r)
@@ -605,7 +435,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			r, ok := fusedBin(fi.Sub, p.Locals[fi.A].Int, p.Locals[fi.C].Int)
 			if !ok {
 				p.PC = int(fi.Base) + 2
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: divMsg(fi.Sub)}, p)
+				m.CGDivFault(p, fi.Sub == ir.Mod)
 				return
 			}
 			p.push(r)
@@ -641,81 +471,46 @@ func (m *Machine) execFused(p *ProcInst) {
 	}
 }
 
-// fusedSendDir performs the send half of FSendDir/FXferRec: the value and
-// blocking descriptor are already on p. It returns the fused pc to
-// continue at and true, or false when p blocked or faulted (the caller
-// returns). With the static schedule live, the partner search inspects
-// only process fi.C — the schedule proves it is the only process with a
-// receive site on the channel — for the same single MaskCheck the
-// narrowed scan pays.
-func (m *Machine) fusedSendDir(p *ProcInst, fp *ir.FusedProc, fi *ir.FInstr) (int, bool) {
-	chanID := p.WaitChan
-	if m.sched != nil {
-		m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-		m.Stats.MaskChecks++
-		r := m.Procs[fi.C]
-		if r.Status == PBlockedRecv && r.WaitChan == chanID &&
-			m.deliver(p.Pending, p.PendingFlags, p.ID, r, r.WaitPort) {
-			if m.flt != nil {
-				return 0, false
-			}
-			m.Stats.DirectXfers++
-			m.unblock(r, r.ResumePC)
-			p.Pending = Value{}
-			return int(fp.Map[p.ResumePC]), true
-		}
-		if m.flt != nil {
+// fusedSendDir performs the send half of FSendDir/FXferRec: v with the
+// Send flags on the channel fi.A, resuming after the group. It returns
+// the fused pc to continue at and true, or false when p blocked or
+// faulted (the caller returns). With the static schedule live, the
+// partner search inspects only process fi.C — the schedule proves it is
+// the only process with a receive site on the channel — for the same
+// single MaskCheck the narrowed scan pays.
+func (m *Machine) fusedSendDir(p *ProcInst, fp *ir.FusedProc, fi *ir.FInstr, v Value, flags int) (int, bool) {
+	chanID, resumePC := int(fi.A), int(fi.Base)+int(fi.N)
+	if m.sched == nil {
+		// No static schedule (manual mode, wait queues): the generic send path.
+		if !m.CGSend(p, v, chanID, flags, resumePC, false) {
 			return 0, false
 		}
-		// The channel is internal (fused pairs always are), so there is no
-		// external binding to consult: block.
-		p.Status = PBlockedSend
-		return 0, false
+		return int(fp.Map[resumePC]), true
 	}
-	// No static schedule (manual mode, wait queues): the generic send path.
-	if !m.Config.Manual && m.tryCompleteSend(p) {
+	p.Pending = v
+	p.PendingFlags = flags
+	p.WaitChan = chanID
+	p.ResumePC = resumePC
+	m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
+	m.Stats.MaskChecks++
+	r := m.Procs[fi.C]
+	if r.Status == PBlockedRecv && r.WaitChan == chanID &&
+		m.deliver(v, flags, p.ID, r, r.WaitPort) {
 		if m.flt != nil {
 			return 0, false
 		}
-		return int(fp.Map[p.ResumePC]), true
+		m.Stats.DirectXfers++
+		m.unblock(r, r.ResumePC)
+		p.Pending = Value{}
+		return int(fp.Map[resumePC]), true
 	}
 	if m.flt != nil {
 		return 0, false
 	}
+	// The channel is internal (fused pairs always are), so there is no
+	// external binding to consult: block.
 	p.Status = PBlockedSend
-	m.regSend(p, chanID)
 	return 0, false
-}
-
-// xferRecAlloc runs the NewRecord half of an FXferRec exactly as the
-// baseline would: allocate, absorb or link the B fields popped from the
-// stack, push the result. Returns false when it faulted (the caller must
-// have set p.PC to the NewRecord's base pc and charged exactly one
-// PerInstr beforehand, so fault attribution and the meter match the
-// baseline).
-func (m *Machine) xferRecAlloc(p *ProcInst, fi *ir.FInstr) bool {
-	o := m.heap.Alloc(fi.Type, int(fi.B))
-	if o == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-		return false
-	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
-	for i := int(fi.B) - 1; i >= 0; i-- {
-		v := p.pop()
-		o.Elems[i] = v
-		if v.IsRef && fi.Val&(1<<i) == 0 {
-			if f := m.heap.Link(v.Ref); f != nil {
-				m.setFault(f, p)
-				return false
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
-		}
-	}
-	p.push(RefVal(o))
-	return true
 }
 
 // fusedCmp evaluates a comparison operator on raw ints.
@@ -759,11 +554,4 @@ func fusedBin(op ir.Op, x, y int64) (Value, bool) {
 	default:
 		return BoolVal(fusedCmp(op, x, y)), true
 	}
-}
-
-func divMsg(op ir.Op) string {
-	if op == ir.Mod {
-		return "modulo by zero"
-	}
-	return "division by zero"
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"esplang/internal/ir"
-	"esplang/internal/obs"
 	"esplang/internal/types"
 )
 
@@ -140,28 +139,20 @@ func (s Snapshot) Field(i int) Snapshot {
 // NewRecordV allocates a record object from the given element values.
 // Reference elements are treated as fresh (absorbed).
 func (m *Machine) NewRecordV(t *types.Type, elems ...Value) Value {
-	o := m.heap.Alloc(t, len(elems))
+	o := m.alloc(nil, t, len(elems))
 	if o == nil {
-		m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"})
 		return Value{}
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(-1)
 	copy(o.Elems, elems)
 	return RefVal(o)
 }
 
 // NewUnionV allocates a union object.
 func (m *Machine) NewUnionV(t *types.Type, tag int, payload Value) Value {
-	o := m.heap.Alloc(t, 1)
+	o := m.alloc(nil, t, 1)
 	if o == nil {
-		m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"})
 		return Value{}
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(-1)
 	o.Tag = tag
 	o.Elems[0] = payload
 	return RefVal(o)
@@ -169,14 +160,10 @@ func (m *Machine) NewUnionV(t *types.Type, tag int, payload Value) Value {
 
 // NewArrayV allocates an array object of n elements initialized to init.
 func (m *Machine) NewArrayV(t *types.Type, n int, init Value) Value {
-	o := m.heap.Alloc(t, n)
+	o := m.alloc(nil, t, n)
 	if o == nil {
-		m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"})
 		return Value{}
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(-1)
 	for i := range o.Elems {
 		o.Elems[i] = init
 	}
@@ -185,14 +172,10 @@ func (m *Machine) NewArrayV(t *types.Type, n int, init Value) Value {
 
 // NewArrayFromInts allocates an int array with the given contents.
 func (m *Machine) NewArrayFromInts(t *types.Type, data []int64) Value {
-	o := m.heap.Alloc(t, len(data))
+	o := m.alloc(nil, t, len(data))
 	if o == nil {
-		m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"})
 		return Value{}
 	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(-1)
 	for i, d := range data {
 		o.Elems[i] = IntVal(d)
 	}
