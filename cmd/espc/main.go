@@ -24,7 +24,6 @@ import (
 
 	esplang "esplang"
 	"esplang/internal/diag"
-	"esplang/internal/gobackend"
 )
 
 func main() {
@@ -47,8 +46,6 @@ func main() {
 		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size")
 		instances = flag.Int("instances", 1, "Promela target: program copies")
 		bound     = flag.Int("bound", 16, "Promela target: default objectId table size")
-		emitGo    = flag.String("emit-go", "", "write the AOT Go backend's generated source tree (main.go + go.mod) into this directory; `go build` there produces the compiled-engine binary")
-		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -74,11 +71,6 @@ func main() {
 		NoOptimize: *noOpt,
 		VerifyIR:   *verifyIR,
 		VetDisable: vetDisable,
-	}
-	if *noFuse {
-		passes := esplang.OptAll()
-		passes.FuseProcs = false
-		copts.Passes = passes
 	}
 	prog, err := esplang.Compile(string(src), copts)
 	if err != nil {
@@ -140,25 +132,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
-	}
-	if *emitGo != "" {
-		if *noFuse {
-			// The generated harness recompiles the embedded source with
-			// default passes; a custom pass set would produce different IR
-			// than the step functions were generated from.
-			fmt.Fprintln(os.Stderr, "espc: -emit-go does not support -no-fuse")
-			os.Exit(2)
-		}
-		mainSrc, err := gobackend.Emit(prog, gobackend.Options{NoOptimize: *noOpt, VerifyIR: *verifyIR})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
-			os.Exit(1)
-		}
-		if err := gobackend.WriteTree(*emitGo, mainSrc); err != nil {
-			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", filepath.Join(*emitGo, "main.go"))
-		fmt.Printf("wrote %s\n", filepath.Join(*emitGo, "go.mod"))
 	}
 }

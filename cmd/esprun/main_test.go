@@ -95,3 +95,25 @@ process p { in( inC, {$a, $b}); }
 		t.Error("composite-payload writer channel accepted for stdin feeding")
 	}
 }
+
+// TestCheckPostmortem: -postmortem with -flight 0 and no -trace has no
+// recorder to dump, so it is a usage error instead of a silently missing
+// file.
+func TestCheckPostmortem(t *testing.T) {
+	for _, tc := range []struct {
+		pm, trace string
+		flight    int
+		ok        bool
+	}{
+		{"pm.txt", "", 0, false},
+		{"pm.txt", "", -1, false},
+		{"pm.txt", "", 64, true},
+		{"pm.txt", "t.json", 0, true},
+		{"", "", 0, true},
+	} {
+		err := checkPostmortem(tc.pm, tc.flight, tc.trace)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkPostmortem(%q, %d, %q) = %v, want ok=%v", tc.pm, tc.flight, tc.trace, err, tc.ok)
+		}
+	}
+}

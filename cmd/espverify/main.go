@@ -18,6 +18,7 @@ import (
 	"time"
 
 	esplang "esplang"
+	"esplang/internal/mc"
 	"esplang/internal/obs"
 )
 
@@ -27,7 +28,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel search workers (0 = all cores; 1 = deterministic)")
 		maxStates = flag.Int("max-states", 0, "state bound (0 = default)")
 		maxDepth  = flag.Int("max-depth", 0, "depth bound (0 = default)")
-		bits      = flag.Uint("bits", 24, "bitstate mode: log2 of the bit array size")
+		bits      = flag.Uint("bits", 24, fmt.Sprintf("bitstate mode: log2 of the bit array size, 6..%d", mc.MaxBitstateBits))
 		seed      = flag.Int64("seed", 1, "simulation mode: random seed")
 		runs      = flag.Int("runs", 100, "simulation mode: number of walks")
 		maxLive   = flag.Int("max-objects", 0, "objectId table size; exhausting it is a leak (§5.2)")
@@ -38,7 +39,6 @@ func main() {
 		progressI = flag.Duration("progress-interval", 2*time.Second, "interval between -progress samples")
 		metricsF  = flag.String("metrics", "", "write a JSON metrics snapshot of the search to this file at exit")
 		engineN   = flag.String("engine", "fused", "VM engine driving the search: fused or baseline (verdicts and state counts are identical)")
-		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		por       = flag.Bool("por", false, "partial-order reduction: explore one ample subset of independent transitions per state (verdict-preserving)")
 		porStats  = flag.Bool("por-stats", false, "with -por (implied): print ample-set hit rate, proviso fallbacks, and deferred-transition counts after the search")
 		noVet     = flag.Bool("no-vet", false, "do not print espvet static-analysis findings before checking")
@@ -56,13 +56,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(2)
 	}
-	copts := esplang.CompileOptions{}
-	if *noFuse {
-		passes := esplang.OptAll()
-		passes.FuseProcs = false
-		copts.Passes = passes
+	if *bits < 6 || *bits > mc.MaxBitstateBits {
+		fmt.Fprintf(os.Stderr, "espverify: -bits %d out of range (want 6..%d)\n", *bits, mc.MaxBitstateBits)
+		os.Exit(2)
 	}
-	prog, err := esplang.CompileFile(flag.Arg(0), copts)
+	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(1)

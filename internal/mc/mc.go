@@ -140,7 +140,8 @@ type Options struct {
 	// state (0 = 100000).
 	MaxDepth int
 	// BitstateBits is log2 of the bit array size for BitState mode
-	// (0 = 24, i.e. 16M bits / 2 MB).
+	// (0 = 24, i.e. 16M bits / 2 MB). Larger values are clamped to
+	// MaxBitstateBits and values below 6 are raised to one word.
 	BitstateBits uint
 	// Seed and SimRuns configure Simulation mode (SimRuns 0 = 100).
 	Seed    int64
@@ -223,6 +224,11 @@ func (p ProgressInfo) ETA() (time.Duration, bool) {
 	return time.Duration(float64(remaining) / p.StatesPerSec * float64(time.Second)), true
 }
 
+// MaxBitstateBits is the largest Options.BitstateBits: a 2^32-bit
+// (512 MB) array. Beyond it the array outgrows any host this checker
+// targets, and at 64 the size itself wraps to zero.
+const MaxBitstateBits = 32
+
 func (o *Options) fill() {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -238,6 +244,9 @@ func (o *Options) fill() {
 	}
 	if o.BitstateBits == 0 {
 		o.BitstateBits = 24
+	}
+	if o.BitstateBits > MaxBitstateBits {
+		o.BitstateBits = MaxBitstateBits
 	}
 	if o.SimRuns == 0 {
 		o.SimRuns = 100

@@ -262,3 +262,23 @@ func TestShardedBitSetMemBytes(t *testing.T) {
 		t.Errorf("MemBytes = %d, want %d", got, 1<<16/8)
 	}
 }
+
+// TestBitstateBitsClamped: fill clamps an oversized BitstateBits to
+// MaxBitstateBits. At 64 the size 1<<64 wrapped to a zero-length array
+// and the first insert panicked; values in the 30s allocated gigabytes.
+func TestBitstateBitsClamped(t *testing.T) {
+	for _, bits := range []uint{MaxBitstateBits + 1, 40, 63, 64, 200} {
+		o := Options{Mode: BitState, BitstateBits: bits}
+		o.fill()
+		if o.BitstateBits != MaxBitstateBits {
+			t.Errorf("BitstateBits %d filled to %d, want %d", bits, o.BitstateBits, MaxBitstateBits)
+		}
+	}
+	for _, bits := range []uint{6, 24, MaxBitstateBits} {
+		o := Options{BitstateBits: bits}
+		o.fill()
+		if o.BitstateBits != bits {
+			t.Errorf("in-range BitstateBits %d changed to %d", bits, o.BitstateBits)
+		}
+	}
+}

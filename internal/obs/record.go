@@ -176,8 +176,8 @@ func NewFlightRecorder(size int) *FlightRecorder {
 // grows the ring instead of overwriting, so Snapshot(0) after Sync
 // returns every event since the start, numbered from 0. Dropped is
 // always 0. This is the sink for Chrome traces and for harnesses (the
-// differential fuzzer, the compiled engine) that compare whole event
-// streams.
+// differential fuzzer, the engine differential tests) that compare
+// whole event streams.
 func NewEventLog() *FlightRecorder {
 	r := NewFlightRecorder(DefaultRingSize)
 	r.full = true

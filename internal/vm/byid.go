@@ -1,15 +1,16 @@
-// By-type-id allocation entry points for the compiled engine's generated
-// harness. The generated main package rebuilds input value trees that
-// were serialized by dense type id (types.Type.ID), so it needs
-// constructors that resolve the id against the machine's universe. The
-// charge sequence is exactly NewRecordV/NewUnionV/NewArrayV: one Alloc
-// charge, Stats.Allocs, and a trace event per object, children first.
+// By-type-id allocation entry points: constructors for environment-side
+// callers that hold a dense type id (types.Type.ID) rather than a
+// *types.Type, for example when rebuilding a value tree that was
+// serialized by type id. They resolve the id against the machine's
+// universe; the charge sequence is exactly NewRecordV/NewUnionV/NewArrayV:
+// one Alloc charge, Stats.Allocs, and a trace event per object, children
+// first.
 package vm
 
 import "fmt"
 
-// typeByID resolves a dense type id, faulting the machine on garbage ids
-// (a malformed request line, never a compiled program).
+// typeByID resolves a dense type id, faulting the machine on an id the
+// program's universe does not define.
 func (m *Machine) typeByID(id int) bool {
 	if id < 0 || id >= len(m.Prog.Universe.All()) || m.Prog.Universe.ByID(id) == nil {
 		m.fault(&Fault{Kind: FaultInternal, Msg: fmt.Sprintf("unknown type id %d", id)})

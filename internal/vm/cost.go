@@ -61,11 +61,10 @@ type Stats struct {
 	Polls        int64
 	DeepCopied   int64 // words
 	// DirectXfers counts rendezvous completed through the direct-transfer
-	// fast path of the fused engine (or the compiled tier's mirror of
-	// it). It is a diagnostic: each such transfer already appears in
-	// Rendezvous (and charges the same cycles), so DirectXfers
-	// contributes zero to the §6.2 cycle decomposition, and the baseline
-	// engine always leaves it zero.
+	// fast path of the fused engine. It is a diagnostic: each such
+	// transfer already appears in Rendezvous (and charges the same
+	// cycles), so DirectXfers contributes zero to the §6.2 cycle
+	// decomposition, and the baseline engine always leaves it zero.
 	DirectXfers int64
 }
 

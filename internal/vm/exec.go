@@ -99,10 +99,6 @@ func (m *Machine) tagFault(p *ProcInst, tag, want int) {
 // per-instruction charge points of the baseline loop, and profiled runs
 // are not on the hot path.
 func (m *Machine) exec(p *ProcInst) {
-	if m.compiled != nil && m.prof == nil {
-		m.compiled[p.ID](m, p)
-		return
-	}
 	if m.fused != nil && m.prof == nil {
 		m.execFused(p)
 		return
@@ -113,9 +109,9 @@ func (m *Machine) exec(p *ProcInst) {
 // execBase is the baseline interpreter and the differential-testing
 // oracle for the fused engine. It implements the non-preemptive execution
 // discipline of §6.1: between blocking points a process runs
-// uninterrupted. Every effectful opcode runs through the CG* method the
-// compiled tier calls too (compiled.go), so the three tiers share one
-// body per operation; only the pure and charge-free cases are inline.
+// uninterrupted. Every effectful opcode runs through the op* (or *Fault)
+// method the fused engine calls too (compiled.go), so the two tiers share
+// one body per operation; only the pure and charge-free cases are inline.
 func (m *Machine) execBase(p *ProcInst) {
 	code := p.Def.Code
 	pc := p.PC
@@ -124,7 +120,7 @@ func (m *Machine) execBase(p *ProcInst) {
 	for m.flt == nil {
 		steps++
 		if steps > m.Config.StepBudget {
-			m.CGBudgetFault(p, pc, 1, steps)
+			m.budgetFault(p, pc, 1, steps)
 			return
 		}
 		in := code[pc]
@@ -179,13 +175,13 @@ func (m *Machine) execBase(p *ProcInst) {
 				r = IntVal(x.Int * y.Int)
 			case ir.Div:
 				if y.Int == 0 {
-					m.CGDivFault(p, false)
+					m.divFault(p, false)
 					return
 				}
 				r = IntVal(x.Int / y.Int)
 			case ir.Mod:
 				if y.Int == 0 {
-					m.CGDivFault(p, true)
+					m.divFault(p, true)
 					return
 				}
 				r = IntVal(x.Int % y.Int)
@@ -221,12 +217,12 @@ func (m *Machine) execBase(p *ProcInst) {
 			}
 
 		case ir.NewRecord:
-			if !m.CGNewRecord(p, in.A, in.B, in.Val) {
+			if !m.opNewRecord(p, in.A, in.B, in.Val) {
 				return
 			}
 			pc++
 		case ir.NewUnion:
-			r, ok := m.CGNewUnion(p, p.pop(), in.A, in.B, in.Val&1 != 0)
+			r, ok := m.opNewUnion(p, p.pop(), in.A, in.B, in.Val&1 != 0)
 			if !ok {
 				return
 			}
@@ -234,7 +230,7 @@ func (m *Machine) execBase(p *ProcInst) {
 			pc++
 		case ir.NewArray:
 			init := p.pop()
-			r, ok := m.CGNewArray(p, p.pop(), init, in.A)
+			r, ok := m.opNewArray(p, p.pop(), init, in.A)
 			if !ok {
 				return
 			}
@@ -250,7 +246,7 @@ func (m *Machine) execBase(p *ProcInst) {
 			pc++
 		case ir.SetField:
 			v := p.pop()
-			if !m.CGSetField(p, p.pop(), v, in.A) {
+			if !m.opSetField(p, p.pop(), v, in.A) {
 				return
 			}
 			pc++
@@ -292,17 +288,17 @@ func (m *Machine) execBase(p *ProcInst) {
 			pc++
 
 		case ir.Link:
-			if !m.CGLink(p, p.pop()) {
+			if !m.opLink(p, p.pop()) {
 				return
 			}
 			pc++
 		case ir.Unlink:
-			if !m.CGUnlink(p, p.pop()) {
+			if !m.opUnlink(p, p.pop()) {
 				return
 			}
 			pc++
 		case ir.CastCopy:
-			r, ok := m.CGCastCopy(p, p.pop(), in.A)
+			r, ok := m.opCastCopy(p, p.pop(), in.A)
 			if !ok {
 				return
 			}
@@ -322,7 +318,7 @@ func (m *Machine) execBase(p *ProcInst) {
 
 		case ir.Assert:
 			if p.pop().Int == 0 {
-				m.CGAssertFault(p, in.A)
+				m.assertFault(p, in.A)
 				return
 			}
 			pc++
@@ -333,19 +329,19 @@ func (m *Machine) execBase(p *ProcInst) {
 			return
 
 		case ir.Send, ir.SendCommit:
-			if !m.CGSend(p, p.pop(), in.A, in.B, pc+1, in.Op == ir.SendCommit) {
+			if !m.opSend(p, p.pop(), in.A, in.B, pc+1, in.Op == ir.SendCommit) {
 				return
 			}
 			pc = p.ResumePC
 
 		case ir.Recv:
-			if !m.CGRecv(p, in.A, in.B, pc+1) {
+			if !m.opRecv(p, in.A, in.B, pc+1) {
 				return
 			}
 			pc = p.ResumePC
 
 		case ir.Alt:
-			next, cont := m.CGAlt(p, in.A)
+			next, cont := m.opAlt(p, in.A)
 			if !cont {
 				return // parked (blocked alt or collapsed blocked recv) or faulted
 			}

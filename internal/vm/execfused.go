@@ -26,10 +26,10 @@ import (
 //     attribution and trace timestamps are bit-identical (FXferRec's
 //     NewRecord, which unwinds the bulk charge to its own, is the one
 //     exception);
-//   - every such component runs through the CG* method the baseline and
-//     the compiled tier call for it (compiled.go), so each operation's
-//     charges, counters, events and fault messages have one body; only
-//     the charge-free accessors and the schedule fast paths are inline.
+//   - every such component runs through the op* (or *Fault) method the
+//     baseline calls for it (compiled.go), so each operation's charges,
+//     counters, events and fault messages have one body; only the
+//     charge-free accessors and the schedule fast paths are inline.
 //
 // execFused only runs when no profiler is installed (exec falls back to
 // execBase otherwise): per-line cycle attribution needs the baseline's
@@ -53,7 +53,7 @@ func (m *Machine) execFused(p *ProcInst) {
 		steps += n
 		if steps > m.Config.StepBudget {
 			// The baseline executes components one at a time, so only the
-			// components it would have run are charged (CGBudgetFault).
+			// components it would have run are charged (budgetFault).
 			// When the budget admits an FXferRec's NewRecord but not its
 			// Send, the baseline completes the allocation (it is
 			// observable — heap state, Stats, trace) before faulting at
@@ -62,12 +62,12 @@ func (m *Machine) execFused(p *ProcInst) {
 				m.Cycles += m.Cost.PerInstr
 				m.Stats.Instrs++
 				p.PC = int(fi.Base)
-				if m.CGNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
-					m.CGBudgetFault(p, int(fi.Base)+1, 1, steps)
+				if m.opNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
+					m.budgetFault(p, int(fi.Base)+1, 1, steps)
 				}
 				return
 			}
-			m.CGBudgetFault(p, int(fi.Base), n, steps)
+			m.budgetFault(p, int(fi.Base), n, steps)
 			return
 		}
 		m.Cycles += n * m.Cost.PerInstr
@@ -123,7 +123,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			y := p.pop()
 			x := p.pop()
 			if y.Int == 0 {
-				m.CGDivFault(p, false)
+				m.divFault(p, false)
 				return
 			}
 			p.push(IntVal(x.Int / y.Int))
@@ -132,7 +132,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			y := p.pop()
 			x := p.pop()
 			if y.Int == 0 {
-				m.CGDivFault(p, true)
+				m.divFault(p, true)
 				return
 			}
 			p.push(IntVal(x.Int % y.Int))
@@ -184,12 +184,12 @@ func (m *Machine) execFused(p *ProcInst) {
 			}
 
 		case ir.FNewRecord:
-			if !m.CGNewRecord(p, int(fi.A), int(fi.B), fi.Val) {
+			if !m.opNewRecord(p, int(fi.A), int(fi.B), fi.Val) {
 				return
 			}
 			pcF++
 		case ir.FNewUnion:
-			r, ok := m.CGNewUnion(p, p.pop(), int(fi.A), int(fi.B), fi.Val&1 != 0)
+			r, ok := m.opNewUnion(p, p.pop(), int(fi.A), int(fi.B), fi.Val&1 != 0)
 			if !ok {
 				return
 			}
@@ -197,7 +197,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 		case ir.FNewArray:
 			init := p.pop()
-			r, ok := m.CGNewArray(p, p.pop(), init, int(fi.A))
+			r, ok := m.opNewArray(p, p.pop(), init, int(fi.A))
 			if !ok {
 				return
 			}
@@ -213,7 +213,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 		case ir.FSetField:
 			v := p.pop()
-			if !m.CGSetField(p, p.pop(), v, int(fi.A)) {
+			if !m.opSetField(p, p.pop(), v, int(fi.A)) {
 				return
 			}
 			pcF++
@@ -255,17 +255,17 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 
 		case ir.FLink:
-			if !m.CGLink(p, p.pop()) {
+			if !m.opLink(p, p.pop()) {
 				return
 			}
 			pcF++
 		case ir.FUnlink:
-			if !m.CGUnlink(p, p.pop()) {
+			if !m.opUnlink(p, p.pop()) {
 				return
 			}
 			pcF++
 		case ir.FCastCopy:
-			r, ok := m.CGCastCopy(p, p.pop(), int(fi.A))
+			r, ok := m.opCastCopy(p, p.pop(), int(fi.A))
 			if !ok {
 				return
 			}
@@ -282,7 +282,7 @@ func (m *Machine) execFused(p *ProcInst) {
 
 		case ir.FAssert:
 			if p.pop().Int == 0 {
-				m.CGAssertFault(p, int(fi.A))
+				m.assertFault(p, int(fi.A))
 				return
 			}
 			pcF++
@@ -307,13 +307,13 @@ func (m *Machine) execFused(p *ProcInst) {
 				chanID, flags = int(fi.B), int(fi.C)
 				p.PC = int(fi.Base) + 1
 			}
-			if !m.CGSend(p, v, chanID, flags, int(fi.Base)+int(fi.N), fi.Op == ir.FSendCommit) {
+			if !m.opSend(p, v, chanID, flags, int(fi.Base)+int(fi.N), fi.Op == ir.FSendCommit) {
 				return
 			}
 			pcF = int(fp.Map[p.ResumePC])
 
 		case ir.FRecv:
-			if !m.CGRecv(p, int(fi.A), int(fi.B), int(fi.Base)+1) {
+			if !m.opRecv(p, int(fi.A), int(fi.B), int(fi.Base)+1) {
 				return
 			}
 			pcF = int(fp.Map[p.ResumePC])
@@ -328,7 +328,7 @@ func (m *Machine) execFused(p *ProcInst) {
 		case ir.FRecvDir:
 			if m.sched == nil {
 				// No static schedule (manual or queue mode): the generic path.
-				if !m.CGRecv(p, int(fi.A), int(fi.B), int(fi.Base)+int(fi.N)) {
+				if !m.opRecv(p, int(fi.A), int(fi.B), int(fi.Base)+int(fi.N)) {
 					return
 				}
 				pcF = int(fp.Map[p.ResumePC])
@@ -373,7 +373,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			// charged once the record exists.
 			m.Cycles -= m.Cost.PerInstr
 			m.Stats.Instrs--
-			if !m.CGNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
+			if !m.opNewRecord(p, fi.Type.ID(), int(fi.B), fi.Val) {
 				return
 			}
 			m.Cycles += m.Cost.PerInstr
@@ -390,7 +390,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF = next
 
 		case ir.FAlt:
-			next, cont := m.CGAlt(p, int(fi.A))
+			next, cont := m.opAlt(p, int(fi.A))
 			if !cont {
 				return // parked (blocked alt or collapsed blocked recv) or faulted
 			}
@@ -426,7 +426,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			r, ok := fusedBin(fi.Sub, p.Locals[fi.A].Int, fi.Val)
 			if !ok {
 				p.PC = int(fi.Base) + 2 // the Div/Mod component's pc
-				m.CGDivFault(p, fi.Sub == ir.Mod)
+				m.divFault(p, fi.Sub == ir.Mod)
 				return
 			}
 			p.push(r)
@@ -435,7 +435,7 @@ func (m *Machine) execFused(p *ProcInst) {
 			r, ok := fusedBin(fi.Sub, p.Locals[fi.A].Int, p.Locals[fi.C].Int)
 			if !ok {
 				p.PC = int(fi.Base) + 2
-				m.CGDivFault(p, fi.Sub == ir.Mod)
+				m.divFault(p, fi.Sub == ir.Mod)
 				return
 			}
 			p.push(r)
@@ -482,7 +482,7 @@ func (m *Machine) fusedSendDir(p *ProcInst, fp *ir.FusedProc, fi *ir.FInstr, v V
 	chanID, resumePC := int(fi.A), int(fi.Base)+int(fi.N)
 	if m.sched == nil {
 		// No static schedule (manual mode, wait queues): the generic send path.
-		if !m.CGSend(p, v, chanID, flags, resumePC, false) {
+		if !m.opSend(p, v, chanID, flags, resumePC, false) {
 			return 0, false
 		}
 		return int(fp.Map[resumePC]), true

@@ -41,7 +41,7 @@ process consumer { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 		{"auto-bitmask", opt.All(), Config{}, true, true, true},
 		{"manual", opt.All(), Config{Manual: true}, false, false, true},
 		{"wait-queues", opt.All(), Config{UseWaitQueues: true}, false, true, true},
-		{"no-fuseprocs", noFuse, Config{}, false, true, false},
+		{"fuseprocs-off", noFuse, Config{}, false, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := compile.Program(ast, info)
@@ -77,23 +77,23 @@ process consumer { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 	}
 }
 
-// TestParseEngine: the three tiers round-trip through their names, and
-// any other name — the retired process-fused tier's included — is an
-// error that lists them.
+// TestParseEngine: the two tiers round-trip through their names, and
+// any other name — the retired process-fused and compiled tiers'
+// included — is an error that lists exactly baseline and fused.
 func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EngineBaseline, EngineFused, EngineCompiled} {
+	for _, e := range []Engine{EngineBaseline, EngineFused} {
 		if got, err := ParseEngine(e.String()); err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e, got, err)
 		}
 	}
-	const retired = "proc" + "fused"
-	_, err := ParseEngine(retired)
-	if err == nil {
-		t.Fatalf("ParseEngine(%q) succeeded", retired)
-	}
-	for _, name := range []string{"baseline", "fused", "compiled"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not name %s", err, name)
+	for _, retired := range []string{"proc" + "fused", "compiled"} {
+		_, err := ParseEngine(retired)
+		if err == nil {
+			t.Fatalf("ParseEngine(%q) succeeded", retired)
+		}
+		_, listed, _ := strings.Cut(err.Error(), "(want ")
+		if listed != "baseline or fused)" {
+			t.Errorf("ParseEngine(%q) error %q lists %q, want only baseline and fused", retired, err, listed)
 		}
 	}
 }

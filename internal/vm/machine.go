@@ -112,12 +112,6 @@ type Machine struct {
 	// baseline engine was selected. It is immutable and shared by clones.
 	fused []*ir.FusedProc
 
-	// compiled holds the generated native step functions of the compiled
-	// engine (one per process, installed by InstallCompiled); nil for
-	// every other engine, in which case an EngineCompiled machine runs
-	// the baseline loop.
-	compiled []CompiledProc
-
 	// sched is the runtime form of the static rendezvous schedule
 	// (fused engine, auto + bit-mask mode only; nil otherwise).
 	// Immutable and shared by clones; schedStore is its backing storage

@@ -95,7 +95,7 @@ func (o *Object) String() string {
 // Heap is the object store of one machine. By default objects are never
 // reused; freed objects keep their contents so use-after-free is
 // detectable, the property the verifier checks exhaustively (§5.2). The
-// fused and compiled engines turn on recycling outside Manual mode (see
+// fused engine turns on recycling outside Manual mode (see
 // New): the element storage of freed objects goes on a free list and Alloc
 // reuses it, so the hot allocate-send-free cycle stops hitting the Go
 // allocator for the (dominant) backing arrays. The Object shell itself

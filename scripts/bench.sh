@@ -1,12 +1,12 @@
 #!/bin/sh
 # Record the PR's headline benchmarks — firmware latency/bandwidth,
-# verifier throughput across the three-tier engine matrix (baseline,
-# fused, AOT-compiled), and the verification workloads under ample-set
+# verifier throughput across the two-tier engine matrix (baseline and
+# fused), and the verification workloads under ample-set
 # partial-order reduction — into BENCH_PR10.json at the repository
 # root. Commit the file so performance claims travel with the code.
 #
 # Usage:
-#   scripts/bench.sh                 # full three-tier engine matrix
+#   scripts/bench.sh                 # full two-tier engine matrix
 #   scripts/bench.sh -seed <gitref>  # also benchmark the pre-PR commit
 #                                    # in a worktree and record the
 #                                    # fused-over-seed speedups
