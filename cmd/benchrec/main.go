@@ -1,551 +1,412 @@
-// Command benchrec records the PR's headline benchmarks — the Figure 5
-// firmware workloads and the §5.3 verification runs — under the two
-// execution engine tiers and writes the numbers (ns/op, allocs/op,
-// verifier states and states/sec, and the cross-engine speedups) to a
-// JSON file, so performance claims are checked in, reproducible, and
-// easy to diff across commits:
+// Command benchrec compares the working tree with a parent commit on the
+// repository benchmark that BENCHMARK.json names, and records the result
+// so that a performance claim is a committed number:
 //
-// It also measures the flight recorder's hot-path overhead (the
-// VMThroughput workload with and without a recorder attached).
+//	go run ./cmd/benchrec -parent HEAD -out BENCH_PR<n>.json
 //
-// The verification workloads also run under ample-set partial-order
-// reduction ("<workload>/por"); the "<workload>/por_state_reduction"
-// speedup entry records the full-search/reduced-search state ratio.
+// Run it from the repository root on an idle machine. It clones the
+// parent into a temporary directory and runs BENCHMARK.json's command
+// there and in the working tree on every workload, ten pairs of runs of
+// run_seconds each with tracing off. Both sides of pair i run seed i+1; the parent runs
+// first in even pairs and the change in odd ones, so drift in machine
+// speed falls on both.
 //
-//	go run ./cmd/benchrec -out BENCH_PR10.json
+// The output keeps every run's identity and result lines and, per
+// workload and end-to-end metric, each side's median, quartiles and
+// extremes, the pairs the change won and lost (ties count for neither)
+// and a verdict (see judgeMetric). Runs whose workload_hash differs are
+// not compared. benchrec exits 1 when a metric regressed or the change
+// fails a larger share of its operations than the parent, and 2 on a
+// usage error.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"runtime"
+	"os/exec"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
-
-	esplang "esplang"
-	"esplang/internal/nic"
-	"esplang/internal/obs"
-	"esplang/internal/vmmc"
 )
 
-// Bench is one recorded benchmark run.
-type Bench struct {
-	Name        string             `json:"name"`
-	Engine      string             `json:"engine"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+// spec is the part of BENCHMARK.json benchrec reads.
+type spec struct {
+	Command    []string `json:"command"`
+	RunSeconds float64  `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
 }
 
-// Report is the file layout of BENCH_PR10.json. The speedup map compares
-// the engines inside this build; SeedBenches and the vs-seed map
-// (present when scripts/bench.sh was given a -seed ref) compare this
-// build against the repo's own `go test -bench` numbers at the pre-PR
-// commit, run on the same machine.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "higher" or "lower"
+	Bound  float64 `json:"bound"`  // largest tolerated worsening, relative to the parent's median
+}
+
+// runner runs the benchmark command with args in dir and returns its
+// standard output. Tests substitute a fake.
+type runner func(dir string, args []string) ([]byte, error)
+
+const (
+	parentSide = "parent"
+	changeSide = "change"
+)
+
+// Report is the layout of a BENCH_PR<n>.json file.
 type Report struct {
-	GOOS    string  `json:"goos"`
-	GOARCH  string  `json:"goarch"`
-	NumCPU  int     `json:"num_cpu"`
-	Benches []Bench `json:"benchmarks"`
-	// SpeedupsOver is the cross-tier map: one
-	// "<workload>/fused_over_baseline" key per workload, plus the
-	// "<workload>/por_state_reduction" ratios.
-	SpeedupsOver map[string]float64 `json:"speedups"`
-	// RecorderOverhead is the flight recorder's hot-path cost per engine:
-	// VMThroughput/recorder over plain VMThroughput, as a percentage —
-	// the median of interleaved per-round ratios (see recordPair), so it
-	// is drift-corrected and may differ slightly from the ratio of the
-	// two best-of-N ns_per_op entries above.
-	RecorderOverhead map[string]float64 `json:"recorder_overhead_pct,omitempty"`
-	SeedBenches      []Bench            `json:"seed_benchmarks,omitempty"`
-	SpeedupsVsSeed   map[string]float64 `json:"speedups_fused_over_seed,omitempty"`
+	Parent     string     `json:"parent"` // the parent commit, resolved
+	Command    []string   `json:"command"`
+	RunSeconds float64    `json:"run_seconds"`
+	Pairs      int        `json:"pairs"`
+	Workloads  []Workload `json:"workloads"`
 }
 
-// seedNames maps the pre-PR repo benchmark names (as printed by `go test
-// -bench` at the seed commit) to this tool's workload names. Fig5a is
-// left out: the repo's latency benchmarks run 10 rounds, this tool's 40.
-var seedNames = map[string]string{
-	"BenchmarkFig5bBandwidth/vmmcESP/1024B": "Fig5bBandwidth/1024B",
-	"BenchmarkVerifyMemSafety":              "VerifyMemSafety",
-	"BenchmarkVerifyFirmwareModel":          "VerifyFirmwareModel",
+// Workload is the comparison on one workload.
+type Workload struct {
+	Name         string `json:"name"`
+	WorkloadHash string `json:"workload_hash"`
+	// Attempted and Failed count operations over all runs, by side.
+	Attempted map[string]int `json:"attempted"`
+	Failed    map[string]int `json:"failed"`
+	Metrics   []Metric       `json:"metrics"`
+	Samples   []Sample       `json:"samples"`
 }
 
-// parseSeedBench reads `go test -bench` output from the seed commit and
-// returns the runs it recognizes, renamed to this tool's workload names.
-func parseSeedBench(path string) ([]Bench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// Sample is one run, with the identity and result lines it printed.
+type Sample struct {
+	Pair     int             `json:"pair"`
+	Side     string          `json:"side"`
+	Identity json.RawMessage `json:"identity"`
+	Result   json.RawMessage `json:"result"`
+	res      result
+}
+
+// result is the part of the result line benchrec reads.
+type result struct {
+	Attempted int `json:"attempted"`
+	Failed    int `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// Metric is one end-to-end metric compared across the pairs.
+type Metric struct {
+	metricSpec
+	Parent Summary `json:"parent"`
+	Change Summary `json:"change"`
+	// WorseBy is how much worse the change's median is than the
+	// parent's, relative to the parent's; negative when it is better.
+	WorseBy float64 `json:"worse_by"`
+	Wins    int     `json:"wins"`
+	Losses  int     `json:"losses"`
+	Verdict string  `json:"verdict"`
+}
+
+// Summary is one side's distribution over the pairs.
+type Summary struct {
+	Min    float64 `json:"min"`
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+	Max    float64 `json:"max"`
+	IQR    float64 `json:"iqr"`
+}
+
+// compare runs pairs parent/change pairs of every workload, the parent
+// in parentDir and the change in changeDir, and judges them.
+func compare(sp spec, pairs int, run runner, parentDir, changeDir string) (*Report, error) {
+	rep := &Report{Command: sp.Command, RunSeconds: sp.RunSeconds, Pairs: pairs}
+	for _, w := range sp.Workloads {
+		rep.Workloads = append(rep.Workloads, Workload{Name: w.Name, Attempted: map[string]int{}, Failed: map[string]int{}})
 	}
-	var out []Bench
-	for _, line := range strings.Split(string(data), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
-			continue
+	dirs := map[string]string{parentSide: parentDir, changeSide: changeDir}
+	seconds := strconv.FormatFloat(sp.RunSeconds, 'g', -1, 64)
+	for pair := 0; pair < pairs; pair++ {
+		order := []string{parentSide, changeSide}
+		if pair%2 == 1 {
+			order[0], order[1] = order[1], order[0]
 		}
-		name, ok := seedNames[strings.TrimRight(f[0], "-0123456789")]
-		if !ok {
-			continue
-		}
-		b := Bench{Name: name, Engine: "seed", Metrics: map[string]float64{}}
-		fmt.Sscanf(f[1], "%d", &b.Iterations)
-		fmt.Sscanf(f[2], "%f", &b.NsPerOp)
-		for i := 4; i+1 < len(f); i += 2 {
-			var v float64
-			if _, err := fmt.Sscanf(f[i], "%f", &v); err == nil {
-				b.Metrics[f[i+1]] = v
+		seed := strconv.Itoa(pair + 1)
+		for i := range rep.Workloads {
+			w := &rep.Workloads[i]
+			for _, side := range order {
+				out, err := run(dirs[side], []string{"--workload", w.Name, "--seed", seed, "--seconds", seconds, "--trace", "0"})
+				if err == nil {
+					err = w.add(Sample{Pair: pair, Side: side}, out)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("%s %s seed %s: %w", side, w.Name, seed, err)
+				}
+				fmt.Fprintf(os.Stderr, "benchrec: pair %d/%d %s %s done\n", pair+1, pairs, w.Name, side)
 			}
 		}
-		if states, ok := b.Metrics["states"]; ok && b.NsPerOp > 0 {
-			b.Metrics["states/sec"] = states / (b.NsPerOp / 1e9)
-		}
-		out = append(out, b)
 	}
-	return out, nil
+	for i := range rep.Workloads {
+		if err := rep.Workloads[i].judge(sp.EndToEnd); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }
 
-// workload is one benchmark body, parameterized by engine (vmmc.Engine
-// is set by the caller before the run; vo carries it to the verifier).
-type workload struct {
-	name string
-	run  func(b *testing.B, engine esplang.Engine, vo esplang.VerifyOptions)
+// add appends the run that printed out, whose last two lines are its
+// identity and its result, refusing a run of different work.
+func (w *Workload) add(s Sample, out []byte) error {
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 2 {
+		return fmt.Errorf("want an identity and a result line, got %q", out)
+	}
+	s.Identity, s.Result = json.RawMessage(lines[len(lines)-2]), json.RawMessage(lines[len(lines)-1])
+	var id struct {
+		Workload     string `json:"workload"`
+		WorkloadHash string `json:"workload_hash"`
+	}
+	if err := json.Unmarshal(s.Identity, &id); err != nil {
+		return fmt.Errorf("identity line: %w", err)
+	}
+	if err := json.Unmarshal(s.Result, &s.res); err != nil {
+		return fmt.Errorf("result line: %w", err)
+	}
+	switch {
+	case id.Workload != w.Name:
+		return fmt.Errorf("the run reports workload %q", id.Workload)
+	case w.WorkloadHash == "":
+		w.WorkloadHash = id.WorkloadHash
+	case id.WorkloadHash != w.WorkloadHash:
+		return fmt.Errorf("workload_hash %s differs from the earlier runs' %s: the sides measure different work",
+			id.WorkloadHash, w.WorkloadHash)
+	}
+	w.Attempted[s.Side] += s.res.Attempted
+	w.Failed[s.Side] += s.res.Failed
+	w.Samples = append(w.Samples, s)
+	return nil
 }
 
-// vmSrc is the exec-bound workload: a rendezvous loop with arithmetic
-// between communications, so the instruction-dispatch cost the fused
-// engine removes dominates instead of the NIC simulation.
-const vmSrc = `
-channel c: int
-channel done: int external reader
-process producer {
-    $n = 0;
-    $acc = 1;
-    while (n < 400) {
-        acc = (acc * 3) % 9973;
-        acc = acc + n;
-        out( c, acc);
-        n = n + 1;
-    }
-}
-process consumer {
-    $n = 0;
-    $sum = 0;
-    while (n < 400) {
-        in( c, $v);
-        sum = sum + v;
-        n = n + 1;
-    }
-    out( done, sum);
-}
-`
-
-var vmProg *esplang.Program
-
-func vmProgram(b *testing.B) *esplang.Program {
-	if vmProg == nil {
-		p, err := esplang.Compile(vmSrc, esplang.CompileOptions{})
+// judge compares the two sides on every end-to-end metric.
+func (w *Workload) judge(specs []metricSpec) error {
+	for _, ms := range specs {
+		var p, c []float64
+		for _, s := range w.Samples {
+			v, ok := s.res.Metrics[ms.Name]
+			if !ok {
+				return fmt.Errorf("%s %s pair %d: no metric %s", w.Name, s.Side, s.Pair+1, ms.Name)
+			}
+			if s.Side == parentSide {
+				p = append(p, v.Value)
+			} else {
+				c = append(c, v.Value)
+			}
+		}
+		m, err := judgeMetric(ms, p, c, w.failsMore())
 		if err != nil {
-			b.Fatal(err)
+			return fmt.Errorf("%s %s: %w", w.Name, ms.Name, err)
 		}
-		vmProg = p
+		w.Metrics = append(w.Metrics, m)
 	}
-	return vmProg
+	return nil
 }
 
-var workloads = []workload{
-	{"VMThroughput", func(b *testing.B, engine esplang.Engine, _ esplang.VerifyOptions) {
-		prog := vmProgram(b)
-		for i := 0; i < b.N; i++ {
-			m := prog.Machine(esplang.MachineConfig{Engine: engine})
-			if err := m.BindReader("done", &esplang.CollectReader{}); err != nil {
-				b.Fatal(err)
-			}
-			m.Run()
-			if f := m.Fault(); f != nil {
-				b.Fatal(f)
-			}
+// judgeMetric compares the parent's values p and the change's values c
+// of one metric, where p[i] and c[i] are pair i; failsMore says the
+// change failed a larger share of its operations. Its verdict is
+//
+//   - shown: at least ten pairs ran, the change won at least 9 pairs in
+//     10, its median is better than the parent's by more than the
+//     parent's interquartile range, and failsMore is false;
+//   - regressed: the change's median is worse than the parent's by more
+//     than the metric's bound;
+//   - unresolved: either side's interquartile range, relative to its
+//     median, is wider than the bound, and not every change run is
+//     better than every parent run;
+//   - within: none of these.
+func judgeMetric(ms metricSpec, p, c []float64, failsMore bool) (Metric, error) {
+	if len(p) != len(c) || len(p) == 0 {
+		return Metric{}, fmt.Errorf("%d parent and %d change values", len(p), len(c))
+	}
+	sign := map[string]float64{"higher": 1, "lower": -1}[ms.Better]
+	if sign == 0 {
+		return Metric{}, fmt.Errorf("better = %q, want higher or lower", ms.Better)
+	}
+	m := Metric{metricSpec: ms, Parent: summarize(p), Change: summarize(c)}
+	for i := range p {
+		if d := sign * (c[i] - p[i]); d > 0 {
+			m.Wins++
+		} else if d < 0 {
+			m.Losses++
 		}
-	}},
-	{"VMThroughput/recorder", func(b *testing.B, engine esplang.Engine, _ esplang.VerifyOptions) {
-		// The same workload with a flight recorder attached; the gap to
-		// plain VMThroughput is the recorder's hot-path overhead. The
-		// recorder is reused across runs (the production pattern — one
-		// long-lived ring per deployment) so the measurement is the
-		// recording cost, not ring construction.
-		prog := vmProgram(b)
-		rec := obs.NewFlightRecorder(0)
-		for i := 0; i < b.N; i++ {
-			m := prog.Machine(esplang.MachineConfig{Engine: engine})
-			m.SetRecorder(rec)
-			if err := m.BindReader("done", &esplang.CollectReader{}); err != nil {
-				b.Fatal(err)
-			}
-			m.Run()
-			if f := m.Fault(); f != nil {
-				b.Fatal(f)
-			}
-		}
-	}},
-	{"Fig5aLatency/64B", func(b *testing.B, _ esplang.Engine, _ esplang.VerifyOptions) {
-		cfg := nic.DefaultConfig()
-		var last float64
-		for i := 0; i < b.N; i++ {
-			v, err := vmmc.PingPong(vmmc.ESP, cfg, 64, 40)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = v
-		}
-		b.ReportMetric(last/1000, "us-latency")
-	}},
-	{"Fig5aLatency/4096B", func(b *testing.B, _ esplang.Engine, _ esplang.VerifyOptions) {
-		cfg := nic.DefaultConfig()
-		var last float64
-		for i := 0; i < b.N; i++ {
-			v, err := vmmc.PingPong(vmmc.ESP, cfg, 4096, 40)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = v
-		}
-		b.ReportMetric(last/1000, "us-latency")
-	}},
-	{"Fig5bBandwidth/1024B", func(b *testing.B, _ esplang.Engine, _ esplang.VerifyOptions) {
-		cfg := nic.DefaultConfig()
-		var last float64
-		for i := 0; i < b.N; i++ {
-			v, err := vmmc.OneWay(vmmc.ESP, cfg, 1024, 30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = v
-		}
-		b.ReportMetric(last, "MB/s")
-	}},
-	{"Fig5cBidirectional/1024B", func(b *testing.B, _ esplang.Engine, _ esplang.VerifyOptions) {
-		cfg := nic.DefaultConfig()
-		var last float64
-		for i := 0; i < b.N; i++ {
-			v, err := vmmc.Bidirectional(vmmc.ESP, cfg, 1024, 15)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = v
-		}
-		b.ReportMetric(last, "MB/s-total")
-	}},
-	{"VerifyMemSafety", func(b *testing.B, _ esplang.Engine, vo esplang.VerifyOptions) {
-		var states int
-		for i := 0; i < b.N; i++ {
-			res, err := vmmc.VerifyMemSafety(vmmc.BugNone, vo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Violation != nil {
-				b.Fatalf("violation: %v", res.Violation)
-			}
-			states = res.States
-		}
-		b.ReportMetric(float64(states), "states")
-	}},
-	{"VerifyFirmwareModel", func(b *testing.B, _ esplang.Engine, vo esplang.VerifyOptions) {
-		cfg := nic.DefaultConfig()
-		var states int
-		for i := 0; i < b.N; i++ {
-			res, err := vmmc.VerifyFirmware(cfg, 2, vo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Violation != nil {
-				b.Fatalf("violation: %v", res.Violation)
-			}
-			states = res.States
-		}
-		b.ReportMetric(float64(states), "states")
-	}},
-	{"VerifyMemSafety/por", func(b *testing.B, _ esplang.Engine, vo esplang.VerifyOptions) {
-		vo.Reduction = esplang.AmpleSets
-		var states int
-		for i := 0; i < b.N; i++ {
-			res, err := vmmc.VerifyMemSafety(vmmc.BugNone, vo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Violation != nil {
-				b.Fatalf("violation: %v", res.Violation)
-			}
-			states = res.States
-		}
-		b.ReportMetric(float64(states), "states")
-	}},
-	{"VerifyFirmwareModel/por", func(b *testing.B, _ esplang.Engine, vo esplang.VerifyOptions) {
-		// The PR10 headline: the same firmware verification under
-		// ample-set partial-order reduction. The states metric is the one
-		// that matters — the "/por_state_reduction" speedup entry records
-		// how many fewer states the reduced search visits for the same
-		// verdict.
-		vo.Reduction = esplang.AmpleSets
-		cfg := nic.DefaultConfig()
-		var states int
-		for i := 0; i < b.N; i++ {
-			res, err := vmmc.VerifyFirmware(cfg, 2, vo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Violation != nil {
-				b.Fatalf("violation: %v", res.Violation)
-			}
-			states = res.States
-		}
-		b.ReportMetric(float64(states), "states")
-	}},
+	}
+	m.WorseBy = relative(sign*(m.Parent.Median-m.Change.Median), m.Parent.Median)
+	spread := math.Max(relative(m.Parent.IQR, m.Parent.Median), relative(m.Change.IQR, m.Change.Median))
+	// The change's worst run against the parent's best.
+	worst, best := m.Change.Min, m.Parent.Max
+	if sign < 0 {
+		worst, best = m.Change.Max, m.Parent.Min
+	}
+	switch {
+	case !failsMore && len(p) >= 10 && 10*m.Wins >= 9*len(p) && sign*(m.Change.Median-m.Parent.Median) > m.Parent.IQR:
+		m.Verdict = "shown"
+	case m.WorseBy > ms.Bound:
+		m.Verdict = "regressed"
+	case spread > ms.Bound && sign*(worst-best) <= 0:
+		m.Verdict = "unresolved"
+	default:
+		m.Verdict = "within"
+	}
+	return m, nil
 }
 
-func findWorkload(name string) workload {
-	for _, w := range workloads {
-		if w.name == name {
-			return w
-		}
+// relative is d/|base|, taking a zero base as a change of the whole.
+func relative(d, base float64) float64 {
+	switch {
+	case base != 0:
+		return d / math.Abs(base)
+	case d != 0:
+		return math.Copysign(1, d)
 	}
-	return workload{}
+	return 0
 }
 
-func runOnce(wl workload, engine esplang.Engine, vo esplang.VerifyOptions) testing.BenchmarkResult {
-	runtime.GC()
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		wl.run(b, engine, vo)
-	})
+// summarize interpolates the quartiles of xs between closest ranks, as
+// espbench does.
+func summarize(xs []float64) Summary {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := func(f float64) float64 {
+		pos := f * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	sum := Summary{Min: s[0], Q1: q(0.25), Median: q(0.5), Q3: q(0.75), Max: s[len(s)-1]}
+	sum.IQR = sum.Q3 - sum.Q1
+	return sum
 }
 
-// record runs one workload under one engine `repeat` times and keeps the
-// fastest run: best-of-N is the standard defense against scheduler and
-// frequency noise on shared machines, and both engines get the same
-// treatment so the ratio stays fair.
-func record(name string, engine esplang.Engine, repeat int) Bench {
-	vmmc.Engine = engine
-	vo := esplang.VerifyOptions{Engine: engine}
-	wl := findWorkload(name)
-	var r testing.BenchmarkResult
-	for i := 0; i < repeat; i++ {
-		got := runOnce(wl, engine, vo)
-		if i == 0 || got.NsPerOp() < r.NsPerOp() {
-			r = got
+// failed reports, to standard error, what fails the comparison:
+// regressed metrics, and workloads where the change fails a larger share
+// of its operations.
+func (r *Report) failed() bool {
+	failed := false
+	for _, w := range r.Workloads {
+		for _, m := range w.Metrics {
+			if m.Verdict == "regressed" {
+				fmt.Fprintf(os.Stderr, "benchrec: %s %s regressed by %.1f%% (bound %.0f%%)\n", w.Name, m.Name, 100*m.WorseBy, 100*m.Bound)
+				failed = true
+			}
+		}
+		if w.failsMore() {
+			pf, pa, cf, ca := w.Failed[parentSide], w.Attempted[parentSide], w.Failed[changeSide], w.Attempted[changeSide]
+			fmt.Fprintf(os.Stderr, "benchrec: %s: the change failed %d of %d operations, the parent %d of %d\n", w.Name, cf, ca, pf, pa)
+			failed = true
 		}
 	}
-	return toBench(name, engine, r)
+	return failed
 }
 
-// recordPair measures two workloads with their repeats interleaved
-// (off, on, off, on, ...) instead of all-off-then-all-on. For the
-// recorder-overhead pair the on/off *ratio* is the reported number, and
-// machine-speed drift — routine on shared runners — would bias a
-// sequential measurement. The returned ratio is the median of the
-// per-round on/off ratios: each round's two runs are seconds apart, so
-// drift cancels within a round, and the median discards rounds hit by
-// a scheduler hiccup. (Dividing two independent best-of-N values does
-// neither — the bests can come from different drift windows.) The
-// returned Benches are still best-of-N like every other workload.
-func recordPair(offName, onName string, engine esplang.Engine, repeat int) (Bench, Bench, float64) {
-	vmmc.Engine = engine
-	vo := esplang.VerifyOptions{Engine: engine}
-	offW, onW := findWorkload(offName), findWorkload(onName)
-	var offR, onR testing.BenchmarkResult
-	ratios := make([]float64, 0, repeat)
-	for i := 0; i < repeat; i++ {
-		offGot := runOnce(offW, engine, vo)
-		onGot := runOnce(onW, engine, vo)
-		ratios = append(ratios, float64(onGot.NsPerOp())/float64(offGot.NsPerOp()))
-		if i == 0 || offGot.NsPerOp() < offR.NsPerOp() {
-			offR = offGot
-		}
-		if i == 0 || onGot.NsPerOp() < onR.NsPerOp() {
-			onR = onGot
-		}
-	}
-	sort.Float64s(ratios)
-	return toBench(offName, engine, offR), toBench(onName, engine, onR), ratios[len(ratios)/2]
+// failsMore reports whether the change failed a larger share of its
+// operations than the parent.
+func (w *Workload) failsMore() bool {
+	return w.Failed[changeSide]*w.Attempted[parentSide] > w.Failed[parentSide]*w.Attempted[changeSide]
 }
 
-func toBench(name string, engine esplang.Engine, r testing.BenchmarkResult) Bench {
-	rec := Bench{
-		Name:        name,
-		Engine:      engine.String(),
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Metrics:     map[string]float64{},
+// checkout resolves ref and checks it out into a new temporary clone of
+// the repository. A clone, unlike a git worktree, leaves nothing behind
+// in the repository when benchrec is killed.
+func checkout(ref string) (dir, commit string, err error) {
+	out, err := exec.Command("git", "rev-parse", "--verify", ref+"^{commit}").Output()
+	if err != nil {
+		return "", "", fmt.Errorf("resolve %s: %w", ref, err)
 	}
-	for k, v := range r.Extra {
-		if k == "allocs/op" || k == "B/op" {
-			continue
+	commit = strings.TrimSpace(string(out))
+	if dir, err = os.MkdirTemp("", "benchrec-parent-"); err != nil {
+		return "", "", err
+	}
+	for _, args := range [][]string{
+		{"clone", "--quiet", "--no-checkout", ".", dir},
+		{"-C", dir, "checkout", "--quiet", "--detach", commit},
+	} {
+		cmd := exec.Command("git", args...)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			os.RemoveAll(dir)
+			return "", "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
 		}
-		rec.Metrics[k] = v
 	}
-	if states, ok := rec.Metrics["states"]; ok && rec.NsPerOp > 0 {
-		rec.Metrics["states/sec"] = states / (rec.NsPerOp / 1e9)
-	}
-	return rec
+	return dir, commit, nil
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
-	repeat := flag.Int("repeat", 5, "runs per benchmark; the fastest is recorded")
-	seedBench := flag.String("seed-bench", "", "optional `go test -bench` output from the pre-PR commit to compare against")
-	engineList := flag.String("engines", "baseline,fused",
-		"comma-separated engine tiers to record (the engine axis)")
-	only := flag.String("workloads", "",
-		"comma-separated workload name prefixes to record (default all)")
+	parent := flag.String("parent", "", "git ref of the commit to compare the working tree with (required)")
+	out := flag.String("out", "", "output file, BENCH_PR<n>.json (required)")
 	flag.Parse()
-
-	wanted := func(name string) bool {
-		if *only == "" {
-			return true
-		}
-		for _, p := range strings.Split(*only, ",") {
-			if p = strings.TrimSpace(p); p != "" && strings.HasPrefix(name, p) {
-				return true
-			}
-		}
-		return false
+	if *parent == "" || *out == "" || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchrec -parent <ref> -out BENCH_PR<n>.json  (run from the repository root)")
+		flag.PrintDefaults()
+		os.Exit(2)
 	}
-
-	var engines []esplang.Engine
-	for _, name := range strings.Split(*engineList, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
-		engine, err := esplang.ParseEngine(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrec: %v\n", err)
-			os.Exit(1)
-		}
-		engines = append(engines, engine)
+	var sp spec
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &sp)
 	}
-
-	rep := Report{
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		SpeedupsOver: map[string]float64{},
-	}
-	byKey := map[string]Bench{}
-	recRatio := map[string]float64{}
-	report := func(rec Bench) {
-		rep.Benches = append(rep.Benches, rec)
-		byKey[rec.Name+"/"+rec.Engine] = rec
-		fmt.Printf("%-28s %-9s %12.0f ns/op %8d allocs/op", rec.Name, rec.Engine, rec.NsPerOp, rec.AllocsPerOp)
-		for k, v := range rec.Metrics {
-			fmt.Printf("  %s=%.1f", k, v)
-		}
-		fmt.Println()
-	}
-	for _, wl := range workloads {
-		if !wanted(wl.name) {
-			continue
-		}
-		switch wl.name {
-		case "VMThroughput":
-			// The recorder-overhead pair is measured interleaved (see
-			// recordPair) because its on/off ratio is the headline number.
-			for _, engine := range engines {
-				off, on, ratio := recordPair("VMThroughput", "VMThroughput/recorder", engine, *repeat)
-				report(off)
-				report(on)
-				recRatio[engine.String()] = ratio
-			}
-		case "VMThroughput/recorder":
-			// Recorded pairwise with VMThroughput above.
-		default:
-			for _, engine := range engines {
-				report(record(wl.name, engine, *repeat))
-			}
-		}
-	}
-	for _, wl := range workloads {
-		base, fused := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"]
-		if base.NsPerOp > 0 && fused.NsPerOp > 0 {
-			rep.SpeedupsOver[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
-		}
-	}
-	// POR state reduction: full-search states over ample-set states for
-	// each verification workload. The state counts are engine-independent
-	// (the reduction is a property of the search, not the execution
-	// tier), so the first tier with both runs recorded is reported.
-	for _, wl := range workloads {
-		porName := wl.name + "/por"
-		if findWorkload(porName).run == nil {
-			continue
-		}
-		for _, engine := range engines {
-			e := engine.String()
-			full, por := byKey[wl.name+"/"+e], byKey[porName+"/"+e]
-			if fs, ps := full.Metrics["states"], por.Metrics["states"]; fs > 0 && ps > 0 {
-				rep.SpeedupsOver[wl.name+"/por_state_reduction"] = fs / ps
-				break
-			}
-		}
-	}
-	rep.RecorderOverhead = map[string]float64{}
-	for _, engine := range engines {
-		e := engine.String()
-		if ratio, ok := recRatio[e]; ok {
-			rep.RecorderOverhead[e] = (ratio - 1) * 100
-			fmt.Printf("recorder-overhead %-10s %+.1f%%\n", e, rep.RecorderOverhead[e])
-		}
-	}
-	if *seedBench != "" {
-		seeds, err := parseSeedBench(*seedBench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrec: seed bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.SeedBenches = seeds
-		rep.SpeedupsVsSeed = map[string]float64{}
-		for _, s := range seeds {
-			fused, ok := byKey[s.Name+"/fused"]
-			if ok && s.NsPerOp > 0 && fused.NsPerOp > 0 {
-				rep.SpeedupsVsSeed[s.Name] = s.NsPerOp / fused.NsPerOp
-				if ss, fs := s.Metrics["states/sec"], fused.Metrics["states/sec"]; ss > 0 {
-					rep.SpeedupsVsSeed[s.Name+"/states-per-sec"] = fs / ss
-				}
-			}
-		}
-		for k, v := range rep.SpeedupsVsSeed {
-			fmt.Printf("speedup-vs-seed %-32s %.2fx\n", k, v)
-		}
-	}
-	{
-		var keys []string
-		for k := range rep.SpeedupsOver {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("speedup-tier %-44s %.2fx\n", k, rep.SpeedupsOver[k])
-		}
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrec: %v\n", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(rep)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil && (len(sp.Command) == 0 || sp.RunSeconds <= 0) {
+		err = fmt.Errorf("want a command and a positive run_seconds")
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrec: %v\n", err)
+		fmt.Fprintln(os.Stderr, "benchrec: BENCHMARK.json:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s\n", *out)
+	dir, commit, err := checkout(*parent)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrec:", err)
+		os.Exit(1)
+	}
+	exe := func(dir string, args []string) ([]byte, error) {
+		cmd := exec.Command(sp.Command[0], append(sp.Command[1:len(sp.Command):len(sp.Command)], args...)...)
+		cmd.Dir = dir
+		cmd.Stderr = os.Stderr
+		return cmd.Output()
+	}
+	const pairs = 10 // the fewest that can show a gain (see judgeMetric)
+	status := record(sp, pairs, exe, dir, commit, *out)
+	os.RemoveAll(dir)
+	os.Exit(status)
+}
+
+// record compares the parent checked out in parentDir with the working
+// tree, writes the report to out, prints a summary and returns the exit
+// status.
+func record(sp spec, pairs int, run runner, parentDir, commit, out string) int {
+	rep, err := compare(sp, pairs, run, parentDir, ".")
+	if err == nil {
+		rep.Parent = commit
+		var buf []byte
+		if buf, err = json.MarshalIndent(rep, "", "  "); err == nil {
+			err = os.WriteFile(out, append(buf, '\n'), 0o644)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrec:", err)
+		return 1
+	}
+	for _, w := range rep.Workloads {
+		for _, m := range w.Metrics {
+			fmt.Printf("%-12s %-13s parent %-10.4g change %-10.4g worse by %+6.1f%%  wins %2d/%d  %s\n",
+				w.Name, m.Name, m.Parent.Median, m.Change.Median, 100*m.WorseBy, m.Wins, pairs, m.Verdict)
+		}
+	}
+	fmt.Printf("wrote %s\n", out)
+	if rep.failed() {
+		return 1
+	}
+	return 0
 }

@@ -39,7 +39,7 @@ func main() {
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
 		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions and static rendezvous scheduling) or baseline; identical semantics and cycle accounting")
-		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it; -trace keeps every event instead)")
+		flight     = flag.Int("flight", obs.DefaultRingSize, fmt.Sprintf("flight-recorder ring size, at most %d; the recorder is always on so a fault prints a postmortem of the last events (0 disables it; -trace keeps every event instead)", obs.MaxRingSize))
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (needs -flight > 0 or -trace; obscheck -postmortem validates the format)")
 		telemetry  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): /metrics, /statusz, /trace?last=N")
 		linger     = flag.Duration("telemetry-linger", 0, "keep the telemetry server up this long after the run ends, so scrapers can collect final state")
@@ -55,7 +55,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(2)
 	}
-	if err := checkPostmortem(*pmPath, *flight, *tracePath); err != nil {
+	if err := checkRecorder(*flight, *pmPath, *tracePath); err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(2)
 	}
@@ -183,10 +183,14 @@ func main() {
 	}
 }
 
-// checkPostmortem rejects -postmortem when no event sink would feed it:
-// the dump comes from the flight recorder, which -flight 0 switches off
-// unless -trace attaches the full recorder instead.
-func checkPostmortem(pmPath string, flight int, tracePath string) error {
+// checkRecorder rejects recorder flags that cannot work: a -flight ring
+// larger than obs.MaxRingSize, and -postmortem when no event sink would
+// feed it (the dump comes from the flight recorder, which -flight 0
+// switches off unless -trace attaches the full recorder instead).
+func checkRecorder(flight int, pmPath, tracePath string) error {
+	if flight > obs.MaxRingSize {
+		return fmt.Errorf("-flight %d exceeds the largest ring, %d events", flight, obs.MaxRingSize)
+	}
 	if pmPath != "" && flight <= 0 && tracePath == "" {
 		return fmt.Errorf("-postmortem needs the flight recorder: set -flight > 0 or -trace")
 	}

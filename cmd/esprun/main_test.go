@@ -1,10 +1,12 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/obs"
 	"esplang/internal/vm"
 )
 
@@ -98,7 +100,8 @@ process p { in( inC, {$a, $b}); }
 
 // TestCheckPostmortem: -postmortem with -flight 0 and no -trace has no
 // recorder to dump, so it is a usage error instead of a silently missing
-// file.
+// file. A -flight ring above obs.MaxRingSize is a usage error too, not a
+// multi-gigabyte allocation or a hang.
 func TestCheckPostmortem(t *testing.T) {
 	for _, tc := range []struct {
 		pm, trace string
@@ -110,10 +113,14 @@ func TestCheckPostmortem(t *testing.T) {
 		{"pm.txt", "", 64, true},
 		{"pm.txt", "t.json", 0, true},
 		{"", "", 0, true},
+		{"", "", obs.MaxRingSize, true},
+		{"", "", obs.MaxRingSize + 1, false},
+		{"pm.txt", "", 1<<62 + 1, false},
+		{"", "t.json", math.MaxInt, false},
 	} {
-		err := checkPostmortem(tc.pm, tc.flight, tc.trace)
+		err := checkRecorder(tc.flight, tc.pm, tc.trace)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkPostmortem(%q, %d, %q) = %v, want ok=%v", tc.pm, tc.flight, tc.trace, err, tc.ok)
+			t.Errorf("checkRecorder(%d, %q, %q) = %v, want ok=%v", tc.flight, tc.pm, tc.trace, err, tc.ok)
 		}
 	}
 }

@@ -22,6 +22,22 @@ import (
 	"esplang/internal/obs"
 )
 
+// checkLimits rejects a bitstate size outside 6..mc.MaxBitstateBits and
+// a negative search bound, which the search would reinterpret or pass
+// vacuously (-runs -1 walks nothing and reports a pass). bounds maps
+// flag names to values.
+func checkLimits(bits uint, bounds map[string]int) error {
+	if bits < 6 || bits > mc.MaxBitstateBits {
+		return fmt.Errorf("-bits %d out of range (want 6..%d)", bits, mc.MaxBitstateBits)
+	}
+	for name, v := range bounds {
+		if v < 0 {
+			return fmt.Errorf("-%s %d is negative", name, v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		mode      = flag.String("mode", "exhaustive", "exploration mode: exhaustive, bitstate, simulation (§5.1)")
@@ -56,8 +72,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(2)
 	}
-	if *bits < 6 || *bits > mc.MaxBitstateBits {
-		fmt.Fprintf(os.Stderr, "espverify: -bits %d out of range (want 6..%d)\n", *bits, mc.MaxBitstateBits)
+	if err := checkLimits(*bits, map[string]int{
+		"max-states": *maxStates, "max-depth": *maxDepth, "max-objects": *maxLive, "runs": *runs, "workers": *workers,
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(2)
 	}
 	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})

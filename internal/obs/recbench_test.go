@@ -4,8 +4,9 @@ import "testing"
 
 // BenchmarkRecordID measures the recorder's per-event hot path as the
 // VM drives it: pre-interned name ID, packed proc/arg and kind/name
-// words, staging-buffer store. benchrec measures the same thing
-// end-to-end as VMThroughput/recorder overhead.
+// words, staging-buffer store. BenchmarkRendezvousRecorder against
+// BenchmarkRendezvousDisabledTracer (internal/vm) measures the same cost
+// on the VM's rendezvous path.
 func BenchmarkRecordID(b *testing.B) {
 	r := NewFlightRecorder(0)
 	id := r.Intern("c")

@@ -155,12 +155,18 @@ type FlightRecorder struct {
 	full  bool       // grow the ring in Sync instead of overwriting
 }
 
+// MaxRingSize is the largest flight-recorder ring capacity: 1<<20
+// events, 24 MB at 24 bytes per event.
+const MaxRingSize = 1 << 20
+
 // NewFlightRecorder returns a recorder with the given ring capacity,
-// rounded up to a power of two (DefaultRingSize when size <= 0).
+// rounded up to a power of two (DefaultRingSize when size <= 0) and
+// clamped to MaxRingSize.
 func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
+	size = min(size, MaxRingSize)
 	n := 1
 	for n < size {
 		n <<= 1

@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // put records one event the way the VM does: name interned, proc/arg
@@ -61,6 +63,25 @@ func TestRecorderWraparound(t *testing.T) {
 	// last= caps the window from the new end.
 	if got := r.Snapshot(3); len(got) != 3 || got[0].Seq != 97 {
 		t.Errorf("Snapshot(3) = %d events starting at seq %d, want 3 from 97", len(got), got[0].Seq)
+	}
+}
+
+// TestRecorderSizeClamped: rounding a size above 1<<62 up to a power of
+// two overflows to 0 and never ends, and sizes far below that ask for
+// gigabytes; both are clamped to MaxRingSize. The constructor runs in a
+// goroutine so a hang fails the test instead of stalling the suite.
+func TestRecorderSizeClamped(t *testing.T) {
+	for _, size := range []int{MaxRingSize + 1, 1<<33 + 1, 1<<62 + 1, math.MaxInt} {
+		done := make(chan int, 1)
+		go func() { done <- NewFlightRecorder(size).RingSize() }()
+		select {
+		case n := <-done:
+			if n > MaxRingSize {
+				t.Errorf("NewFlightRecorder(%d).RingSize() = %d, want at most %d", size, n, MaxRingSize)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NewFlightRecorder(%d) still running after 5s", size)
+		}
 	}
 }
 

@@ -179,11 +179,6 @@ func patsOverlap(a, b *ir.Pat) bool {
 // ---------------------------------------------------------------------------
 // Eager rendezvous (auto mode)
 
-// maskCharge is a no-op: bit-mask readiness checks are charged once per
-// candidate search (see Machine.candidates); queue mode pays per queue
-// operation instead.
-func (m *Machine) maskCharge() {}
-
 // guardTrue reports whether an alt arm's guard holds for p.
 func guardTrue(p *ProcInst, arm *ir.AltArm) bool {
 	return arm.GuardSlot < 0 || p.Locals[arm.GuardSlot].Int != 0
@@ -239,7 +234,6 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 		if r == s {
 			continue
 		}
-		m.maskCharge()
 		switch r.Status {
 		case PBlockedRecv:
 			if r.WaitChan != chanID {
@@ -305,7 +299,6 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		if s == r {
 			continue
 		}
-		m.maskCharge()
 		if s.Status == PBlockedSend && s.WaitChan == chanID {
 			if m.deliver(s.Pending, s.PendingFlags, s.ID, r, r.WaitPort) {
 				m.unblock(s, s.ResumePC)
@@ -320,7 +313,6 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		if s == r || s.Status != PBlockedAlt {
 			continue
 		}
-		m.maskCharge()
 		def := s.Def.Alts[s.AltIdx]
 		for ai := range def.Arms {
 			arm := &def.Arms[ai]
@@ -419,7 +411,6 @@ func (m *Machine) altSendArm(p *ProcInst, arm *ir.AltArm) (int, bool) {
 		if r == p {
 			continue
 		}
-		m.maskCharge()
 		switch r.Status {
 		case PBlockedRecv:
 			if r.WaitChan == arm.Chan && compatible(r, r.WaitPort) {
@@ -463,7 +454,6 @@ func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
 		if s == p {
 			continue
 		}
-		m.maskCharge()
 		if s.Status == PBlockedSend && s.WaitChan == arm.Chan {
 			if m.deliver(s.Pending, s.PendingFlags, s.ID, p, arm.Port) {
 				m.unblock(s, s.ResumePC)
@@ -479,7 +469,6 @@ func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
 		if s == p || s.Status != PBlockedAlt {
 			continue
 		}
-		m.maskCharge()
 		sdef := s.Def.Alts[s.AltIdx]
 		for si := range sdef.Arms {
 			sarm := &sdef.Arms[si]
@@ -553,7 +542,6 @@ func (m *Machine) Poll() bool {
 		scan := m.scanList(chanID, false)
 		for k := 0; k < len(scan) && !matched; k++ {
 			r := m.Procs[scan[k]]
-			m.maskCharge()
 			switch r.Status {
 			case PBlockedRecv:
 				if r.WaitChan != chanID || !patsOverlap(casePat, r.Def.Ports[r.WaitPort].Pat) {
@@ -608,7 +596,6 @@ func (m *Machine) Poll() bool {
 		er := m.extR[chanID]
 		for _, pi := range m.scanList(chanID, true) {
 			s := m.Procs[pi]
-			m.maskCharge()
 			switch s.Status {
 			case PBlockedSend:
 				if s.WaitChan != chanID {

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"esplang/internal/ir"
 	"esplang/internal/types"
 )
 
@@ -168,27 +167,4 @@ func (m *Machine) NewArrayV(t *types.Type, n int, init Value) Value {
 		o.Elems[i] = init
 	}
 	return RefVal(o)
-}
-
-// NewArrayFromInts allocates an int array with the given contents.
-func (m *Machine) NewArrayFromInts(t *types.Type, data []int64) Value {
-	o := m.alloc(nil, t, len(data))
-	if o == nil {
-		return Value{}
-	}
-	for i, d := range data {
-		o.Elems[i] = IntVal(d)
-	}
-	return RefVal(o)
-}
-
-// IfaceCaseByName returns the index of the named interface case of the
-// channel, or -1.
-func IfaceCaseByName(ch *ir.Channel, name string) int {
-	for i, c := range ch.Cases {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -474,7 +474,8 @@ func removeID(q []int, id int, m *Machine) []int {
 // partner blocked on chanID in the given direction. In bit-mask mode the
 // whole search costs one or two mask-word checks — the masks of several
 // processes are colocated in one integer (§6.1) — so the charge is per
-// search, not per process examined.
+// search, not per process examined; the partner scans themselves charge
+// nothing. Queue mode pays per queue operation instead.
 func (m *Machine) candidates(chanID int, send bool) []int {
 	if m.Config.UseWaitQueues {
 		if send {

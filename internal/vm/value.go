@@ -236,26 +236,3 @@ func (h *Heap) Unlink(o *Object) *Fault {
 	}
 	return nil
 }
-
-// GraphSize returns the number of objects and scalar words reachable from
-// v (used for deep-copy cost accounting).
-func GraphSize(v Value) (objects, words int) {
-	seen := make(map[*Object]bool)
-	var walk func(v Value)
-	walk = func(v Value) {
-		if !v.IsRef {
-			words++
-			return
-		}
-		if v.Ref == nil || seen[v.Ref] {
-			return
-		}
-		seen[v.Ref] = true
-		objects++
-		for _, e := range v.Ref.Elems {
-			walk(e)
-		}
-	}
-	walk(v)
-	return objects, words
-}
